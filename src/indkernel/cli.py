@@ -12,7 +12,8 @@ Subcommands:
     selftest                       run the randomized invariant suites
 
 Exit codes: 0 success / property holds, 1 unprovable / check fails,
-2 bad input (parse errors, schema errors, unknown flags). Output is
+2 bad input (parse errors, schema errors, unknown flags), 3 internal
+error (any other exception, reported on one stderr line). Output is
 deterministic; selftest's generators are seeded from INDKERNEL_SEED.
 """
 
@@ -199,6 +200,9 @@ def run_command(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not pass for a verdict or bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -6,8 +6,9 @@ of every rule whose premises it contains; the closure of a seed is the
 least closed superset of the seed. On a finite carrier the closure is
 reached after at most one stage per element.
 
-closure() uses premise counting with per-element watcher lists, so a
-rule is revisited only when one of its outstanding premises arrives.
+closure() and closure_stages() read one staged counting pass: a rule
+is revisited only when one of its missing premises arrives, and the
+pass records the round (stage) in which each element arrives.
 naive_closure_oracle() recomputes the full one-step consequence set
 until it stabilizes; it exists to cross-check the engine and is kept
 deliberately simple.
@@ -16,7 +17,6 @@ deliberately simple.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 from .finite import Carrier, Subset
@@ -87,43 +87,64 @@ def is_phi_closed(phi: InductiveDefinition, a: Subset) -> bool:
     return True
 
 
-def closure(phi: InductiveDefinition, u: Subset) -> Subset:
-    """The least subset containing u that is closed under the rules.
+def _members(bits: int) -> list[int]:
+    """The indices of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
-    Counting evaluation: each rule tracks how many of its premises are
-    still missing; an element's arrival decrements exactly the rules
-    watching it.
+
+def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[int]]]:
+    """Counting evaluation in rounds: (closure bits, arrivals per round).
+
+    rounds[k - 1] lists the elements that enter at stage k. The rules
+    whose premises lie in the seed fire first and give stage 1; every
+    other rule counts its premises missing from stage 1, not from the
+    set that grows as rules fire (which would put some arrivals a round
+    early), and each arrival decrements exactly the rules watching it.
     """
-    _check_seed(phi, u)
-    current = u.bits
-    missing: list[int] = []
-    watchers: list[list[int]] = [[] for _ in range(len(phi.carrier))]
-    queue: deque[int] = deque()
-
+    conclusion = phi._conclusion_index
+    current, arrived, pending = seed, [], []
     for ri, rule in enumerate(phi.rules):
-        rem = rule.premises.bits & ~current
-        missing.append(rem.bit_count())
-        if rem == 0:
-            ci = phi._conclusion_index[ri]
-            if not (current >> ci) & 1:
-                current |= 1 << ci
-                queue.append(ci)
-        else:
-            while rem:
-                low = (rem & -rem).bit_length() - 1
-                watchers[low].append(ri)
-                rem &= rem - 1
+        if rule.premises.bits & ~seed:
+            pending.append(ri)
+        elif not (current >> conclusion[ri]) & 1:
+            current |= 1 << conclusion[ri]
+            arrived.append(conclusion[ri])
+    if not arrived:
+        return current, []
 
-    while queue:
-        arrived = queue.popleft()
-        for ri in watchers[arrived]:
-            missing[ri] -= 1
-            if missing[ri] == 0:
-                ci = phi._conclusion_index[ri]
-                if not (current >> ci) & 1:
-                    current |= 1 << ci
-                    queue.append(ci)
-    return Subset(phi.carrier, current)
+    stage1, rounds, arrived = current, [arrived], []
+    missing = [0] * len(phi.rules)
+    watchers: list[list[int]] = [[] for _ in range(len(phi.carrier))]
+    for ri in pending:
+        rem = phi.rules[ri].premises.bits & ~stage1
+        if rem:
+            missing[ri] = rem.bit_count()
+            for b in _members(rem):
+                watchers[b].append(ri)
+        elif not (current >> conclusion[ri]) & 1:
+            current |= 1 << conclusion[ri]
+            arrived.append(conclusion[ri])
+    while arrived:
+        rounds.append(arrived)
+        arrived = []
+        for b in rounds[-1]:
+            for ri in watchers[b]:
+                missing[ri] -= 1
+                if missing[ri] == 0 and not (current >> conclusion[ri]) & 1:
+                    current |= 1 << conclusion[ri]
+                    arrived.append(conclusion[ri])
+    return current, rounds
+
+
+def closure(phi: InductiveDefinition, u: Subset) -> Subset:
+    """The least subset containing u that is closed under the rules."""
+    _check_seed(phi, u)
+    return Subset(phi.carrier, _staged_pass(phi, u.bits)[0])
 
 
 def closure_stages(phi: InductiveDefinition, u: Subset) -> list[Subset]:
@@ -135,15 +156,12 @@ def closure_stages(phi: InductiveDefinition, u: Subset) -> list[Subset]:
     """
     _check_seed(phi, u)
     stages = [u]
-    while True:
-        cur = stages[-1].bits
-        nxt = cur
-        for ri, rule in enumerate(phi.rules):
-            if rule.premises.bits & ~cur == 0:
-                nxt |= 1 << phi._conclusion_index[ri]
-        if nxt == cur:
-            return stages
-        stages.append(Subset(phi.carrier, nxt))
+    for arrived in _staged_pass(phi, u.bits)[1]:
+        bits = stages[-1].bits
+        for x in arrived:
+            bits |= 1 << x
+        stages.append(Subset(phi.carrier, bits))
+    return stages
 
 
 def naive_closure_oracle(phi: InductiveDefinition, u: Subset) -> Subset:

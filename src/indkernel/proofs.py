@@ -17,9 +17,15 @@ compactness, made executable here:
     one such proof (witness), and all witnesses live in one fixed
     finite family that depends only on phi (compactness_basis).
 
-Depth conventions: a leaf has depth 1; an element that first appears
-at stage k of the closure has a proof of depth at most k + 1. Since
-stages strictly grow, depth |carrier| + 1 is always enough.
+synthesize_proof, witness and characterize read the staged counting
+pass behind closure (inddef). They, render_proof and proof_to_json use
+explicit stacks, so proof depth is not bounded by the Python stack.
+
+Depth conventions: a leaf has depth 1, and so has the node of a
+premise-free rule. An element that first appears at stage k of the
+closure has a proof of depth at most k + 1, so depth |carrier| + 1 is
+always enough; depth d reaches stage d - 1 of u plus the conclusions
+of the premise-free rules.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Mapping
 
 from .errors import ArityMismatch, UnknownElement
 from .finite import Carrier, Subset
-from .inddef import InductiveDefinition, closure_stages
+from .inddef import InductiveDefinition, _check_seed, _members, _staged_pass, closure_stages
 from .wtree import Signature, WTree, subtrees, sup, validate
 
 RULE = "rule"
@@ -169,83 +175,86 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
     return True
 
 
+def _derivation(
+    phi: InductiveDefinition, u: Subset, goal: str
+) -> dict[int, tuple[int, list[int]] | None] | None:
+    """The choices behind the synthesized derivation of goal, or None.
+
+    Maps each element the derivation uses to None when it is assumed
+    from u, else to (rule index, premise indices) for the first rule in
+    declaration order that concludes it from elements of earlier
+    stages. Keys run in stage order: premises first, goal last.
+    """
+    gi = phi.carrier.index(goal)
+    _check_seed(phi, u)
+    bits, rounds = _staged_pass(phi, u.bits)
+    if not (bits >> gi) & 1:
+        return None
+    n = len(phi.carrier)
+    stage = [n + 1] * n  # n + 1: outside the closure
+    for k, arrived in enumerate([_members(u.bits), *rounds]):
+        for x in arrived:
+            stage[x] = k
+    by_conclusion: list[list[int]] = [[] for _ in range(n)]
+    for ri, ci in enumerate(phi._conclusion_index):
+        by_conclusion[ci].append(ri)
+
+    chosen: dict[int, tuple[int, list[int]] | None] = {}
+    todo = [gi]
+    while todo:
+        x = todo.pop()
+        if x in chosen:
+            continue
+        chosen[x] = None  # stays None for the stage-0 elements, those of u
+        for ri in by_conclusion[x] if stage[x] else ():
+            premises = _members(phi.rules[ri].premises.bits)
+            if all(stage[b] < stage[x] for b in premises):
+                chosen[x] = (ri, premises)
+                todo.extend(premises)
+                break
+    return {x: chosen[x] for x in sorted(chosen, key=stage.__getitem__)}
+
+
 def synthesize_proof(phi: InductiveDefinition, u: Subset, goal: str) -> WTree | None:
     """A derivation of goal from assumptions within u, or None.
 
     Deterministic: elements assumed from u are proved by their leaf;
     anything else uses the first rule (in declaration order) whose
-    premises are all present one stage earlier. The result has depth
-    at most 1 + the stage at which goal first appears.
+    premises are all present one stage earlier, and its node is shared
+    wherever it is a premise. The result has depth at most 1 + the
+    stage at which goal first appears.
     """
-    phi.carrier.index(goal)
-    psig = build_proof_signature(phi)
-    stages = closure_stages(phi, u)
-    if goal not in stages[-1]:
+    chosen = _derivation(phi, u, goal)
+    if chosen is None:
         return None
-    stage_of: dict[str, int] = {}
-    for k, stage in enumerate(stages):
-        for name in stage.names():
-            stage_of.setdefault(name, k)
-
-    memo: dict[str, WTree] = {}
-
-    def build(x: str) -> WTree:
-        if x in memo:
-            return memo[x]
-        k = stage_of[x]
-        if k == 0:
-            tree = psig.assumption(x)
+    labels = build_proof_signature(phi).rule_labels
+    built: dict[int, WTree] = {}
+    for x, choice in chosen.items():
+        if choice is None:
+            built[x] = WTree(phi.carrier.names[x])
         else:
-            prev = stages[k - 1]
-            for i, rule in enumerate(phi.rules):
-                if rule.conclusion == x and rule.premises <= prev:
-                    children = {b: build(b) for b in rule.premises.names()}
-                    tree = psig.rule_app(i, children)
-                    break
-            else:  # unreachable for elements past stage 0
-                raise AssertionError(f"no rule produced {x!r} at stage {k}")
-        memo[x] = tree
-        return tree
-
-    return build(goal)
+            built[x] = WTree(labels[choice[0]], tuple(built[b] for b in choice[1]))
+    return built[phi.carrier.index(goal)]
 
 
 def characterize(phi: InductiveDefinition, u: Subset, depth: int) -> Subset:
     """Conclusions of derivations of bounded depth with assumptions in u.
 
-    Bounded enumeration, memoized on (element, depth budget). At depth
-    |carrier| + 1 this equals closure(phi, u).
+    Depth d is stage d - 1 of u plus the conclusions of premise-free
+    rules (whose nodes are depth-1 leaves). At depth |carrier| + 1 this
+    equals closure(phi, u).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if u.of != phi.carrier:
-        raise ValueError("seed ranges over a different carrier than the rules")
-    rules_for: dict[str, list[int]] = {name: [] for name in phi.carrier.names}
-    for i, rule in enumerate(phi.rules):
-        rules_for[rule.conclusion].append(i)
-
-    memo: dict[tuple[str, int], bool] = {}
-
-    def provable(x: str, d: int) -> bool:
-        if d <= 0:
-            return False
-        key = (x, d)
-        if key in memo:
-            return memo[key]
-        ok = x in u
-        if not ok:
-            for i in rules_for[x]:
-                if all(provable(b, d - 1) for b in phi.rules[i].premises.names()):
-                    ok = True
-                    break
-        memo[key] = ok
-        return ok
-
-    bits = 0
-    for i, name in enumerate(phi.carrier.names):
-        if provable(name, depth):
-            bits |= 1 << i
-    return Subset(phi.carrier, bits)
+    _check_seed(phi, u)
+    if depth == 0:
+        return Subset.empty(phi.carrier)
+    level1 = u.bits
+    for rule, ci in zip(phi.rules, phi._conclusion_index):
+        if not rule.premises.bits:
+            level1 |= 1 << ci
+    stages = closure_stages(phi, Subset(phi.carrier, level1))
+    return stages[min(depth, len(stages)) - 1]
 
 
 def witness(phi: InductiveDefinition, u: Subset, goal: str) -> Subset | None:
@@ -254,10 +263,10 @@ def witness(phi: InductiveDefinition, u: Subset, goal: str) -> Subset | None:
     When goal ∈ closure(phi, u) this returns V ⊆ u with
     goal ∈ closure(phi, V); V always belongs to compactness_basis(phi).
     """
-    proof = synthesize_proof(phi, u, goal)
-    if proof is None:
+    chosen = _derivation(phi, u, goal)
+    if chosen is None:
         return None
-    return ass(build_proof_signature(phi), proof)
+    return Subset(phi.carrier, sum(1 << x for x, choice in chosen.items() if choice is None))
 
 
 def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
@@ -266,25 +275,25 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
     Because every closure stabilizes within |carrier| stages, every
     witness(phi, u, goal) result is a member, whatever u and goal are.
     Computed by dynamic programming over depth: reachable[x] holds the
-    assumption bitmasks of derivations concluding x.
+    assumption bitmasks of derivations concluding x. The sets only grow
+    with depth, so a round that adds nothing is the fixpoint.
     """
     n = len(phi.carrier)
+    premises = [_members(rule.premises.bits) for rule in phi.rules]
     prev: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n + 1):
         cur: list[set[int]] = [{1 << x} for x in range(n)]
-        for rule, ci in zip(phi.rules, phi._conclusion_index):
+        for rule_premises, ci in zip(premises, phi._conclusion_index):
             combos = {0}
-            feasible = True
-            for b in range(n):
-                if not (rule.premises.bits >> b) & 1:
-                    continue
+            for b in rule_premises:
                 options = prev[b]
                 if not options:
-                    feasible = False
                     break
                 combos = {c | o for c in combos for o in options}
-            if feasible:
+            else:
                 cur[ci] |= combos
+        if cur == prev:
+            break
         prev = cur
     masks: set[int] = set()
     for per_element in prev:
@@ -295,19 +304,20 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
 def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     """Schema: {"kind": "assume", "element": s} for leaves,
     {"kind": "rule", "rule": i, "children": {premise: node}} otherwise."""
-    kind, payload = psig.kind_of(w.label)
-    if kind == ASSUME:
-        return {"kind": "assume", "element": payload}
-    i = payload
-    slots = psig.sig.arity(w.label).names
-    return {
-        "kind": "rule",
-        "rule": i,
-        "children": {
-            psig.slot_target(slot): proof_to_json(psig, child)
-            for slot, child in zip(slots, w.children)
-        },
-    }
+    root: dict = {}
+    stack = [(w, root)]
+    while stack:
+        node, out = stack.pop()
+        kind, payload = psig.kind_of(node.label)
+        if kind == ASSUME:
+            out.update(kind="assume", element=payload)
+            continue
+        children: dict[str, dict] = {}
+        out.update(kind="rule", rule=payload, children=children)
+        for slot, child in zip(psig.sig.arity(node.label).names, node.children):
+            children[psig.slot_target(slot)] = child_out = {}
+            stack.append((child, child_out))
+    return root
 
 
 def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
@@ -351,15 +361,24 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
 
 def render_proof(psig: ProofSignature, w: WTree, indent: str = "") -> str:
     """Plain-text rendering for terminals, one node per line."""
-    kind, payload = psig.kind_of(w.label)
-    if kind == ASSUME:
-        lines = [f"{indent}{payload}  [assumed]"]
-    else:
-        rule = psig.phi.rules[payload]  # type: ignore[index]
-        lines = [f"{indent}{rule.conclusion}  [{w.label}: {rule.premises} -> {rule.conclusion}]"]
-        slots = psig.sig.arity(w.label).names
-        for slot, child in zip(slots, w.children):
-            lines.append(render_proof(psig, child, indent + "  "))
+    texts: dict[str, str] = {}  # label -> its line, built once per call
+    lines: list[str] = []
+    stack = [(w, indent)]
+    while stack:
+        node, pad = stack.pop()
+        text = texts.get(node.label)
+        if text is None:
+            kind, payload = psig.kind_of(node.label)
+            if kind == ASSUME:
+                text = f"{payload}  [assumed]"
+            else:
+                rule = psig.phi.rules[payload]  # type: ignore[index]
+                text = f"{rule.conclusion}  [{node.label}: {rule.premises} -> {rule.conclusion}]"
+            texts[node.label] = text
+        lines.append(pad + text)
+        pad += "  "
+        for child in reversed(node.children):
+            stack.append((child, pad))
     return "\n".join(lines)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from indkernel import cli
 from indkernel.cli import run_command
 from indkernel.dsl import emit, parse_rule_file
 
@@ -224,6 +225,16 @@ class TestInputErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "close" in out and "selftest" in out
+
+    def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_cmd_close", crash)
+        code, out, err = run(capsys, "close", GOLDEN / "chain.rules")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 class TestGoldenCorpus:

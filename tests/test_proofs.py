@@ -28,6 +28,7 @@ from oracles import (
     enumerate_proof_shapes,
     shape_ass,
     shape_conc,
+    shape_depth,
     shape_to_tree,
     well_formed_everywhere,
 )
@@ -266,6 +267,35 @@ def test_bounded_depth_reaches_the_closure_all_seeds_small():
         for bits in range(2**n):
             u = Subset(phi.carrier, bits)
             assert characterize(phi, u, n + 1) == closure(phi, u)
+
+
+def test_characterize_matches_enumerated_derivations_with_premise_free_rules():
+    """At every depth 0..|S|+2, characterize is the set of conclusions of
+    enumerated derivations of that depth with assumptions inside u. Every
+    system has a premise-free rule, whose node is a depth-1 leaf."""
+    rng = Random(2)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        carrier = Carrier.of(*(f"s{i}" for i in range(n)))
+        keys = {(0, rng.randrange(n))}
+        for _ in range(rng.randint(0, 3)):
+            bits = 0
+            for _ in range(rng.randint(0, 2)):
+                bits |= 1 << rng.randrange(n)
+            keys.add((bits, rng.randrange(n)))
+        phi = InductiveDefinition(
+            carrier, tuple(Rule(Subset(carrier, b), carrier.name(c)) for b, c in sorted(keys))
+        )
+        shapes = [
+            (shape_conc(phi, s), shape_depth(s), shape_ass(phi, s))
+            for s in enumerate_proof_shapes(phi, n + 2)
+        ]
+        for _ in range(3):
+            u = Subset(carrier, rng.randrange(2**n))
+            inside = frozenset(u.names())
+            for d in range(n + 3):
+                want = {c for c, k, a in shapes if k <= d and a <= inside}
+                assert characterize(phi, u, d) == Subset.from_names(carrier, want), (str(phi), str(u), d)
 
 
 @settings(max_examples=60)
