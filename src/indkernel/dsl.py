@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateName, ParseError, UndeclaredName
 from .finite import Carrier, Subset
@@ -28,8 +29,9 @@ from .topology import CoverPresentation
 
 KEYWORDS = ("set", "rule", "axiom", "seed", "goal")
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|<-|\S")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A name or an arrow (group 1), else one stray non-space character,
+# which is either the start of a comment or an error.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|->|<-)|\S")
 
 
 @dataclass(frozen=True)
@@ -49,31 +51,22 @@ class RuleFileAST:
     goal: str | None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     column: int
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
+    """The tokens of one line, in one regex pass; '#' ends the line."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        ch = line[pos]
-        if ch == "#":
-            break
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(line, pos)
-        assert m is not None  # \S matches any non-space character
-        text = m.group()
-        if not _NAME.match(text) and text not in ("->", "<-"):
+    for m in _TOKEN.finditer(line):
+        if m.lastindex is None:
+            if m.group() == "#":
+                break
             raise ParseError(
-                f"unexpected character {text!r}", lineno, pos + 1, ("NAME", "->", "<-")
+                f"unexpected character {m.group()!r}", lineno, m.start() + 1, ("NAME", "->", "<-")
             )
-        tokens.append(_Token(text, pos + 1))
-        pos = m.end()
+        tokens.append(_Token(m.group(), m.start() + 1))
     return tokens
 
 
@@ -90,7 +83,7 @@ def parse_rule_file(text: str) -> RuleFileAST:
             raise ParseError(
                 f"keyword {tok.text!r} cannot be used as a name", lineno, tok.column, ("NAME",)
             )
-        if not _NAME.match(tok.text):
+        if tok.text in ("->", "<-"):  # every other token is a name
             raise ParseError(f"expected a name, got {tok.text!r}", lineno, tok.column, ("NAME",))
         return tok.text
 

@@ -18,12 +18,29 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CodomainMismatch, DuplicateName, UnknownElement
 
 
+def members(bits: int) -> list[int]:
+    """The indices of the set bits, lowest first.
+
+    Walks down from the highest set bit, whose index bit_length gives
+    directly, so the loop runs once per member, not once per carrier
+    element.
+    """
+    out = []
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    out.reverse()
+    return out
+
+
 @dataclass(frozen=True)
 class Carrier:
     """An ordered finite set of distinct element names."""
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(self.names)
@@ -34,6 +51,14 @@ class Carrier:
                 raise DuplicateName(f"element {name!r} declared twice")
             index[name] = i
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash(names))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return Carrier, (self.names,)
 
     @classmethod
     def of(cls, *names: str) -> "Carrier":
@@ -88,7 +113,8 @@ class Subset:
         return cls(carrier, (1 << len(carrier)) - 1)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for i, n in enumerate(self.of.names) if (self.bits >> i) & 1)
+        names = self.of.names
+        return tuple(names[i] for i in members(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()

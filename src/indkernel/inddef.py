@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .finite import Carrier, Subset
+from .finite import Carrier, Subset, members
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,10 @@ class InductiveDefinition:
 
     Duplicate rules add nothing to any closure; they are dropped at
     construction with a warning so that downstream indexing by rule
-    position stays unambiguous.
+    position stays unambiguous. The engines read the rules through
+    _premise_index (each rule's premise indices, lowest first) and
+    _conclusion_index, not through the Subset of each rule. The premise
+    indices and the hash are computed on first use and kept.
     """
 
     carrier: Carrier
@@ -68,6 +72,21 @@ class InductiveDefinition:
             tuple(self.carrier.index(r.conclusion) for r in kept),
         )
 
+    @cached_property
+    def _premise_index(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(members(rule.premises.bits)) for rule in self.rules)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.carrier, self.rules))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return InductiveDefinition, (self.carrier, self.rules)
+
     def __str__(self) -> str:
         body = "; ".join(str(r) for r in self.rules)
         return f"<{len(self.rules)} rules over {self.carrier}: {body}>"
@@ -87,16 +106,6 @@ def is_phi_closed(phi: InductiveDefinition, a: Subset) -> bool:
     return True
 
 
-def _members(bits: int) -> list[int]:
-    """The indices of the set bits, lowest first."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[int]]]:
     """Counting evaluation in rounds: (closure bits, arrivals per round).
 
@@ -108,8 +117,9 @@ def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[in
     """
     conclusion = phi._conclusion_index
     current, arrived, pending = seed, [], []
+    outside = ~seed
     for ri, rule in enumerate(phi.rules):
-        if rule.premises.bits & ~seed:
+        if rule.premises.bits & outside:
             pending.append(ri)
         elif not (current >> conclusion[ri]) & 1:
             current |= 1 << conclusion[ri]
@@ -120,11 +130,12 @@ def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[in
     stage1, rounds, arrived = current, [arrived], []
     missing = [0] * len(phi.rules)
     watchers: list[list[int]] = [[] for _ in range(len(phi.carrier))]
+    outside = ~stage1
     for ri in pending:
-        rem = phi.rules[ri].premises.bits & ~stage1
+        rem = phi.rules[ri].premises.bits & outside
         if rem:
             missing[ri] = rem.bit_count()
-            for b in _members(rem):
+            for b in members(rem):
                 watchers[b].append(ri)
         elif not (current >> conclusion[ri]) & 1:
             current |= 1 << conclusion[ri]

@@ -20,6 +20,10 @@ compactness, made executable here:
 synthesize_proof, witness and characterize read the staged counting
 pass behind closure (inddef). They, render_proof and proof_to_json use
 explicit stacks, so proof depth is not bounded by the Python stack.
+The signature, the derivation search and compactness_basis read each
+rule's premise indices from the definition; Subset is only the type
+of arguments and results. ass and is_proof visit each shared node of
+a proof once.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -34,9 +38,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ArityMismatch, UnknownElement
-from .finite import Carrier, Subset
-from .inddef import InductiveDefinition, _check_seed, _members, _staged_pass, closure_stages
-from .wtree import Signature, WTree, subtrees, sup, validate
+from .finite import Carrier, Subset, members
+from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
+from .wtree import Signature, WTree, distinct_nodes, sup, validate
 
 RULE = "rule"
 ASSUME = "assume"
@@ -55,8 +59,8 @@ class ProofSignature:
 
     def __init__(self, phi: InductiveDefinition):
         self.phi = phi
-        carrier = phi.carrier
-        taken = set(carrier.names)
+        names = phi.carrier.names
+        taken = set(names)
         rule_labels = []
         for i in range(len(phi.rules)):
             label = f"rule{i}"
@@ -66,22 +70,21 @@ class ProofSignature:
             rule_labels.append(label)
         self.rule_labels: tuple[str, ...] = tuple(rule_labels)
 
-        labels = Carrier(self.rule_labels + carrier.names)
+        labels = Carrier(self.rule_labels + names)
         arities = []
         slot_target: dict[str, str] = {}
         slot_of: list[dict[str, str]] = []
-        for label, rule in zip(self.rule_labels, phi.rules):
-            slots = []
+        for label, premise_index in zip(self.rule_labels, phi._premise_index):
             per_premise: dict[str, str] = {}
-            for premise in rule.premises.names():
+            for b in premise_index:
+                premise = names[b]
                 slot = f"{label}.{premise}"
-                slots.append(slot)
                 slot_target[slot] = premise
                 per_premise[premise] = slot
-            arities.append(Carrier(tuple(slots)))
+            arities.append(Carrier(tuple(per_premise.values())))
             slot_of.append(per_premise)
         empty = Carrier(())
-        arities.extend(empty for _ in carrier.names)
+        arities.extend(empty for _ in names)
 
         self.sig = Signature(labels, tuple(arities))
         self._slot_target = slot_target
@@ -89,7 +92,7 @@ class ProofSignature:
         self._kind: dict[str, tuple[str, object]] = {}
         for i, label in enumerate(self.rule_labels):
             self._kind[label] = (RULE, i)
-        for name in carrier.names:
+        for name in names:
             self._kind[name] = (ASSUME, name)
 
     def kind_of(self, label: str) -> tuple[str, object]:
@@ -145,11 +148,12 @@ def ass(psig: ProofSignature, w: WTree) -> Subset:
     """The assumption set: the union of {s} over all assumption leaves.
 
     Rule nodes contribute nothing of their own, so the recursive union
-    flattens to a scan over the tree's assumption-labeled nodes.
+    flattens to a scan over the assumption-labeled nodes, each shared
+    node visited once.
     """
     carrier = psig.phi.carrier
     bits = 0
-    for node in subtrees(w):
+    for node in distinct_nodes(w):
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
             bits |= 1 << carrier.index(payload)  # type: ignore[arg-type]
@@ -161,11 +165,12 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
 
     Well-formed at a rule node: the child sitting in the slot for
     premise b concludes exactly b. Assumption leaves are always
-    well-formed. Total: structurally invalid trees return False.
+    well-formed. Total: structurally invalid trees return False. Each
+    shared node is checked once.
     """
     if not validate(psig.sig, w):
         return False
-    for node in subtrees(w):
+    for node in distinct_nodes(w):
         kind, _ = psig.kind_of(node.label)
         if kind == RULE:
             slots = psig.sig.arity(node.label).names
@@ -177,7 +182,7 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
 
 def _derivation(
     phi: InductiveDefinition, u: Subset, goal: str
-) -> dict[int, tuple[int, list[int]] | None] | None:
+) -> dict[int, tuple[int, tuple[int, ...]] | None] | None:
     """The choices behind the synthesized derivation of goal, or None.
 
     Maps each element the derivation uses to None when it is assumed
@@ -192,14 +197,14 @@ def _derivation(
         return None
     n = len(phi.carrier)
     stage = [n + 1] * n  # n + 1: outside the closure
-    for k, arrived in enumerate([_members(u.bits), *rounds]):
+    for k, arrived in enumerate([members(u.bits), *rounds]):
         for x in arrived:
             stage[x] = k
     by_conclusion: list[list[int]] = [[] for _ in range(n)]
     for ri, ci in enumerate(phi._conclusion_index):
         by_conclusion[ci].append(ri)
 
-    chosen: dict[int, tuple[int, list[int]] | None] = {}
+    chosen: dict[int, tuple[int, tuple[int, ...]] | None] = {}
     todo = [gi]
     while todo:
         x = todo.pop()
@@ -207,7 +212,7 @@ def _derivation(
             continue
         chosen[x] = None  # stays None for the stage-0 elements, those of u
         for ri in by_conclusion[x] if stage[x] else ():
-            premises = _members(phi.rules[ri].premises.bits)
+            premises = phi._premise_index[ri]
             if all(stage[b] < stage[x] for b in premises):
                 chosen[x] = (ri, premises)
                 todo.extend(premises)
@@ -250,8 +255,8 @@ def characterize(phi: InductiveDefinition, u: Subset, depth: int) -> Subset:
     if depth == 0:
         return Subset.empty(phi.carrier)
     level1 = u.bits
-    for rule, ci in zip(phi.rules, phi._conclusion_index):
-        if not rule.premises.bits:
+    for premises, ci in zip(phi._premise_index, phi._conclusion_index):
+        if not premises:
             level1 |= 1 << ci
     stages = closure_stages(phi, Subset(phi.carrier, level1))
     return stages[min(depth, len(stages)) - 1]
@@ -279,11 +284,10 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
     with depth, so a round that adds nothing is the fixpoint.
     """
     n = len(phi.carrier)
-    premises = [_members(rule.premises.bits) for rule in phi.rules]
     prev: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n + 1):
         cur: list[set[int]] = [{1 << x} for x in range(n)]
-        for rule_premises, ci in zip(premises, phi._conclusion_index):
+        for rule_premises, ci in zip(phi._premise_index, phi._conclusion_index):
             combos = {0}
             for b in rule_premises:
                 options = prev[b]

@@ -124,7 +124,11 @@ def fold(sig: Signature, tree: WTree, step: Callable[[str, dict[str, R]], R]) ->
 
 
 def subtrees(tree: WTree) -> list[WTree]:
-    """All subtrees in preorder, the tree itself first."""
+    """All subtrees in preorder, the tree itself first.
+
+    One entry per tree position, so a node shared by several parents
+    appears once per position; see distinct_nodes for the shared form.
+    """
     out: list[WTree] = []
     stack = [tree]
     while stack:
@@ -134,33 +138,54 @@ def subtrees(tree: WTree) -> list[WTree]:
     return out
 
 
+def distinct_nodes(tree: WTree) -> list[WTree]:
+    """Each node object of the tree once, by identity, children first.
+
+    A derivation may share one subtree object among several parents;
+    walking the objects instead of the positions keeps every traversal
+    built on this linear in the size of the shared form.
+    """
+    done: set[int] = set()
+    out: list[WTree] = []
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [c for c in node.children if id(c) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            stack.pop()
+            done.add(id(node))
+            out.append(node)
+    return out
+
+
 def node_count(tree: WTree) -> int:
-    return len(subtrees(tree))
+    """The number of tree positions, shared nodes counted once per position."""
+    size: dict[int, int] = {}
+    for node in distinct_nodes(tree):
+        size[id(node)] = 1 + sum(size[id(c)] for c in node.children)
+    return size[id(tree)]
 
 
 def depth(tree: WTree) -> int:
     """Height of the tree; a leaf has depth 1."""
-    best = 0
-    stack = [(tree, 1)]
-    while stack:
-        node, d = stack.pop()
-        if d > best:
-            best = d
-        for child in node.children:
-            stack.append((child, d + 1))
-    return best
+    height: dict[int, int] = {}
+    for node in distinct_nodes(tree):
+        height[id(node)] = 1 + max((height[id(c)] for c in node.children), default=0)
+    return height[id(tree)]
 
 
 def validate(sig: Signature, tree: WTree) -> bool:
     """True when every node's label exists and its child count matches."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in distinct_nodes(tree):
         if node.label not in sig.labels:
             return False
         if len(node.children) != len(sig.arity(node.label)):
             return False
-        stack.extend(node.children)
     return True
 
 
@@ -241,6 +266,7 @@ __all__ = [
     "sup",
     "fold",
     "subtrees",
+    "distinct_nodes",
     "node_count",
     "depth",
     "validate",

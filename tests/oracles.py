@@ -2,13 +2,16 @@
 
 Everything here is deliberately brute force and shares no code with
 the engine paths it checks: proofs are enumerated as plain nested
-tuples, least fixed points are found by scanning all subsets, and
-surjections are enumerated as raw tables and quotiented afterwards.
-Only usable at tiny sizes.
+tuples, least fixed points are found by scanning all subsets,
+surjections are enumerated as raw tables and quotiented afterwards,
+subset members are read by scanning the whole carrier, and rule-file
+lines are tokenized one character at a time. Only usable at tiny
+sizes.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 from indkernel.finite import Carrier, FinMap, Subset
@@ -116,6 +119,11 @@ def tree_nodes_by_recursion(tree: WTree) -> list[WTree]:
     return out
 
 
+def tree_depth_by_recursion(tree: WTree) -> int:
+    """Height written recursively over tree positions; a leaf has depth 1."""
+    return 1 + max((tree_depth_by_recursion(c) for c in tree.children), default=0)
+
+
 def well_formed_everywhere(psig: ProofSignature, tree: WTree) -> bool:
     """Direct recursive reading of 'it and all its subtrees are
     well-formed', independent of is_proof's single-pass scan."""
@@ -132,3 +140,42 @@ def well_formed_everywhere(psig: ProofSignature, tree: WTree) -> bool:
     elif tree.children:
         return False
     return all(well_formed_everywhere(psig, child) for child in tree.children)
+
+
+def subset_names_by_scan(carrier: Carrier, bits: int) -> tuple[str, ...]:
+    """The members of a bitmask, by testing every carrier position."""
+    return tuple(name for i, name in enumerate(carrier.names) if (bits >> i) & 1)
+
+
+class TokenError(Exception):
+    """Where reference_tokenize stopped: message, line, column, expected."""
+
+
+_REF_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|<-|\S")
+_REF_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def reference_tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
+    """Rule-file tokens as (text, 1-based column), stepping through the
+    line one character at a time: whitespace is skipped, '#' at a token
+    start ends the line, and a character that starts no name or arrow
+    raises TokenError("unexpected character ...", line, column,
+    ("NAME", "->", "<-"))."""
+    tokens: list[tuple[str, int]] = []
+    pos = 0
+    while pos < len(line):
+        ch = line[pos]
+        if ch == "#":
+            break
+        if ch.isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN.match(line, pos)
+        text = m.group()
+        if not _REF_NAME.match(text) and text not in ("->", "<-"):
+            raise TokenError(
+                f"unexpected character {text!r}", lineno, pos + 1, ("NAME", "->", "<-")
+            )
+        tokens.append((text, pos + 1))
+        pos = m.end()
+    return tokens

@@ -3,9 +3,11 @@
 chain2000.rules derives c1999 from c0 through 1999 stages, deeper than
 the Python stack allows recursion to go. ladder30.rules derives both
 x_{k+1} and y_{k+1} from {x_k, y_k}: the proof of x29 is a DAG of
-2 * 30 - 1 nodes that expands to a tree of 2 ** 30 - 1 nodes.
+2 * 30 - 1 nodes that expands to a tree of 2 ** 30 - 1 nodes, so every
+measure of it must visit each shared node once.
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,8 @@ from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.finite import Subset
 from indkernel.inddef import closure_stages
-from indkernel.proofs import characterize, synthesize_proof, witness
-from indkernel.wtree import depth
+from indkernel.proofs import ass, build_proof_signature, characterize, is_proof, synthesize_proof, witness
+from indkernel.wtree import depth, node_count
 
 CORPUS = Path(__file__).resolve().parent / "adversarial"
 CHAIN = CORPUS / "chain2000.rules"
@@ -79,7 +81,29 @@ class TestLadder30:
     def test_proof_has_one_node_per_element_used(self):
         phi, seed, goal = load(LADDER)
         proof = synthesize_proof(phi, seed, goal)
-        assert len(distinct_nodes(proof)) == 2 * 30 - 1
+        count = len(distinct_nodes(proof))
+        assert count == 2 * 30 - 1
+
+    @pytest.mark.parametrize(
+        "measure, expected",
+        [
+            (lambda psig, proof: depth(proof), 30),
+            (lambda psig, proof: node_count(proof), 2**30 - 1),
+            (lambda psig, proof: ass(psig, proof).names(), ("x0", "y0")),
+            (lambda psig, proof: is_proof(psig, proof), True),
+        ],
+        ids=["depth", "node_count", "ass", "is_proof"],
+    )
+    def test_tree_measures_visit_each_shared_node_once(self, measure, expected):
+        """The expanded tree has 2**30 - 1 positions; each measure walks
+        the 59 distinct nodes instead, so it takes milliseconds."""
+        phi, seed, goal = load(LADDER)
+        proof = synthesize_proof(phi, seed, goal)
+        psig = build_proof_signature(phi)
+        start = time.perf_counter()
+        got = measure(psig, proof)  # named, so a failure never prints the expanded proof
+        assert got == expected
+        assert time.perf_counter() - start < 1.0
 
     def test_cli_witness(self, capsys):
         assert run_command(["witness", str(LADDER)]) == 0

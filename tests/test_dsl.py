@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from indkernel.dsl import (
     AstRule,
     RuleFileAST,
+    _tokenize,
     definition_from_ast,
     emit,
     parse_rule_file,
@@ -18,6 +19,7 @@ from indkernel.errors import DslError, DuplicateName, ParseError, UndeclaredName
 from indkernel.finite import Subset
 from indkernel.gen import random_ast
 from indkernel.inddef import closure
+from oracles import TokenError, reference_tokenize
 
 
 class TestParsing:
@@ -180,3 +182,40 @@ def test_error_positions_are_one_based():
     with pytest.raises(ParseError) as exc:
         parse_rule_file("$")
     assert (exc.value.line, exc.value.column) == (1, 1)
+
+
+TOKEN_PIECES = (
+    "a", "b1", "_x", "Zed", "set", "rule", "axiom", "seed", "goal",
+    "->", "<-", "a->b", "x<-y", "->->", "<->", "a-b", "-", "<", ">",
+    "#", "# note", "a#b", "#->", "!", "1", "9a", "é", "$", ".",
+)
+TOKEN_GAPS = ("", " ", "  ", "\t", " \t ", "\u00a0", "\x0b", "\x0c")
+
+
+def random_line(rng):
+    parts = [rng.choice(TOKEN_GAPS)]
+    for _ in range(rng.randint(0, 7)):
+        parts += [rng.choice(TOKEN_PIECES), rng.choice(TOKEN_GAPS)]
+    return "".join(parts)
+
+
+def test_tokenizer_matches_the_per_character_reference():
+    """The one-pass tokenizer yields the reference's tokens, and fails
+    with the reference's message, line, column and expected tokens."""
+    rng = Random(20260)
+    errors = 0
+    for lineno in range(1, 4001):
+        line = random_line(rng)
+        try:
+            want = reference_tokenize(line, lineno)
+        except TokenError as ref:
+            message, ref_line, column, expected = ref.args
+            with pytest.raises(ParseError) as exc:
+                _tokenize(line, lineno)
+            got = exc.value
+            assert (got.line, got.column, got.expected) == (ref_line, column, expected), line
+            assert str(got) == f"{ref_line}:{column}: {message} (expected {' or '.join(expected)})"
+            errors += 1
+        else:
+            assert [(t.text, t.column) for t in _tokenize(line, lineno)] == want, line
+    assert 500 < errors < 3500  # both outcomes are exercised

@@ -1,5 +1,7 @@
 """Carriers, subsets, maps: examples and algebraic properties."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,10 @@ from indkernel.finite import (
     identity,
     image,
     is_surjection,
+    members,
     pullback,
 )
+from oracles import subset_names_by_scan
 
 
 def carriers(max_size=5, prefix="x"):
@@ -80,6 +84,27 @@ class TestSubset:
     def test_mixed_carriers_rejected(self):
         with pytest.raises(ValueError):
             Subset.full(Carrier.of("a")) | Subset.full(Carrier.of("b"))
+
+    def test_members_names_iteration_and_text_match_a_carrier_scan(self):
+        rng = Random(4045)
+        for _ in range(400):
+            n = rng.choice([0, 1, 2, 7, 31, 64, 65, 300])
+            carrier = Carrier(tuple(f"e{i}" for i in range(n)))
+            density = rng.random()
+            bits = sum(1 << i for i in range(n) if rng.random() < density)
+            s = Subset(carrier, bits)
+            want = subset_names_by_scan(carrier, bits)
+            assert s.names() == want
+            assert list(s) == list(want)
+            assert str(s) == "{" + ", ".join(want) + "}"
+            assert [carrier.names[i] for i in members(bits)] == list(want)
+
+
+class TestCarrierHash:
+    def test_equal_carriers_built_apart_hash_alike(self):
+        a, b = Carrier.of("x", "y"), Carrier(tuple(["x", "y"]))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(Subset.full(a)) == hash(Subset.full(b))
 
 
 class TestFiber:

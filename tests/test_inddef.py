@@ -1,9 +1,16 @@
 """Rule systems and their least closures."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import indkernel
 from indkernel.finite import Carrier, Subset
 from indkernel.inddef import (
     InductiveDefinition,
@@ -128,6 +135,37 @@ class TestConstruction:
         with pytest.warns(UserWarning, match="duplicate rule"):
             phi = InductiveDefinition(AB, (rule, rule))
         assert len(phi.rules) == 1
+
+    def test_pickled_in_another_process_hashes_like_one_built_here(self):
+        """Carrier and InductiveDefinition keep their hashes; unpickling
+        must not bring back hashes of strings from another process."""
+        code = (
+            "import pickle, sys\n"
+            "from indkernel.finite import Carrier, Subset\n"
+            "from indkernel.inddef import InductiveDefinition, Rule\n"
+            "c = Carrier.of('a', 'b')\n"
+            "phi = InductiveDefinition(c, (Rule(Subset.from_names(c, ['a']), 'b'),))\n"
+            "hash(phi)\n"
+            "sys.stdout.buffer.write(pickle.dumps(phi))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(indkernel.__file__).parents[1]))
+        env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        phi = pickle.loads(out.stdout)
+        here = defn(AB, (["a"], "b"))
+        assert phi == here and hash(phi) == hash(here)
+        assert hash(phi.carrier) == hash(AB)
+
+    def test_duplicate_rule_warning_names_the_rule_and_keeps_the_first(self):
+        first = Rule(Subset.from_names(ABC, ["c", "a"]), "b")
+        other = Rule(Subset.from_names(ABC, ["a"]), "c")
+        again = Rule(Subset.from_names(ABC, ["a", "c"]), "b")
+        with pytest.warns(UserWarning) as record:
+            phi = InductiveDefinition(ABC, (first, other, again))
+        assert [str(w.message) for w in record] == ["dropping duplicate rule {a, c} -> b"]
+        assert phi.rules == (first, other)
+        assert phi._premise_index == ((0, 2), (0,))
+        assert phi._conclusion_index == (1, 2)
 
     def test_rule_over_other_carrier_rejected(self):
         rule = Rule(Subset.from_names(ABC, ["a"]), "b")

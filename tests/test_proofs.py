@@ -95,6 +95,42 @@ class TestBuildProofSignature:
         assert psig.rule_labels == ("rule0_",)
         assert len(set(psig.sig.labels.names)) == 3
 
+    def test_equal_systems_built_apart_share_one_cache_entry(self):
+        spec = ((["a", "c"], "b"), (["b"], "c"), ([], "a"))
+        phi = defn(Carrier.of("a", "b", "c"), *spec)
+        twin = defn(Carrier.of("a", "b", "c"), *spec)
+        assert phi == twin and phi is not twin
+        assert hash(phi) == hash(twin)
+        psig = build_proof_signature(phi)
+        hits = build_proof_signature.cache_info().hits
+        assert build_proof_signature(twin) is psig
+        assert build_proof_signature.cache_info().hits == hits + 1
+
+    def test_large_system_is_built_once_then_looked_up_without_rehashing(self, monkeypatch):
+        """A seeded 2000-element, 10000-rule system: one rule label per
+        rule, and a second lookup is a cache hit that hashes no rule."""
+        rng = Random(2000)
+        carrier = Carrier(tuple(f"e{i}" for i in range(2000)))
+        rules = {}
+        while len(rules) < 10000:
+            bits = sum(1 << i for i in rng.sample(range(2000), rng.randint(0, 3)))
+            rules.setdefault((bits, rng.randrange(2000)), None)
+        phi = InductiveDefinition(
+            carrier, tuple(Rule(Subset(carrier, bits), carrier.name(c)) for bits, c in rules)
+        )
+        psig = build_proof_signature(phi)
+        assert len(psig.rule_labels) == len(phi.rules) == 10000
+        assert psig.sig.labels.names[:2] == ("rule0", "rule1")
+
+        def rehash(rule):
+            raise AssertionError("a cached lookup rehashed the rules")
+
+        monkeypatch.setattr(Rule, "__hash__", rehash)
+        before = build_proof_signature.cache_info()
+        assert build_proof_signature(phi) is psig
+        after = build_proof_signature.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
 
 class TestConc:
     def test_assumption(self):

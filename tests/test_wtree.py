@@ -11,6 +11,7 @@ from indkernel.wtree import (
     Signature,
     WTree,
     depth,
+    distinct_nodes,
     fold,
     node_count,
     random_tree,
@@ -23,6 +24,7 @@ from indkernel.wtree import (
     tree_to_json,
     validate,
 )
+from oracles import tree_depth_by_recursion, tree_nodes_by_recursion
 
 BINARY = Signature.of({"leaf": (), "node": ("lft", "rgt")})
 UNARY = Signature.of({"b": (), "a": ("s0",)})
@@ -154,6 +156,25 @@ class TestRandomTrees:
             sig = _random_sig(rng)
             t = random_tree(sig, rng)
             assert len(subtrees(t)) == fold(sig, t, lambda l, kids: 1 + sum(kids.values()))
+
+    def test_depth_and_node_count_match_recursive_readings(self):
+        rng = Random(11)
+        for _ in range(200):
+            sig = _random_sig(rng)
+            t = random_tree(sig, rng)
+            assert depth(t) == tree_depth_by_recursion(t)
+            assert node_count(t) == len(tree_nodes_by_recursion(t))
+
+    def test_shared_unbalanced_dag(self):
+        """One node object under two parents: counted once per position,
+        visited once, and the deeper branch sets the depth."""
+        leaf = sup(BINARY, "leaf", {})
+        shared = sup(BINARY, "node", {"lft": leaf, "rgt": leaf})
+        t = sup(BINARY, "node", {"lft": leaf, "rgt": sup(BINARY, "node", {"lft": shared, "rgt": shared})})
+        assert depth(t) == tree_depth_by_recursion(t) == 4
+        assert node_count(t) == len(subtrees(t)) == 9
+        assert [id(n) for n in distinct_nodes(t)] == [id(leaf), id(shared), id(t.children[1]), id(t)]
+        assert validate(BINARY, t)
 
 
 class TestEquality:
