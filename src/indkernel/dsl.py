@@ -70,94 +70,120 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
     return tokens
 
 
+def _column(line: str, lineno: int, i: int) -> int:
+    """The 1-based column of token i of a line, for an error message."""
+    return _tokenize(line, lineno)[i].column
+
+
+def _not_a_name(line: str, lineno: int, i: int) -> DslError:
+    """The error for token i of a line, where a declared name belongs."""
+    text, column = _tokenize(line, lineno)[i]
+    if text in KEYWORDS:
+        return ParseError(f"keyword {text!r} cannot be used as a name", lineno, column, ("NAME",))
+    if text in ("->", "<-"):
+        return ParseError(f"expected a name, got {text!r}", lineno, column, ("NAME",))
+    return UndeclaredName(f"name {text!r} was never declared", lineno, column)
+
+
 def parse_rule_file(text: str) -> RuleFileAST:
-    names: list[str] = []
-    declared: set[str] = set()
+    """The AST of a rule file, or the first DslError/DuplicateName in it.
+
+    Each line becomes plain string tokens in one findall, a stray
+    character becoming the empty string. Only a line that is about to
+    raise is tokenized again with columns, by _tokenize, which also
+    raises for the first stray character of the line.
+    """
+    declared: dict[str, int] = {}  # name -> index, in declaration order
     rules: list[AstRule] = []
     seed: list[str] | None = None
     goal: str | None = None
     goal_line = 0
 
-    def expect_name(tok: _Token, lineno: int) -> str:
-        if tok.text in KEYWORDS:
-            raise ParseError(
-                f"keyword {tok.text!r} cannot be used as a name", lineno, tok.column, ("NAME",)
-            )
-        if tok.text in ("->", "<-"):  # every other token is a name
-            raise ParseError(f"expected a name, got {tok.text!r}", lineno, tok.column, ("NAME",))
-        return tok.text
-
-    def expect_declared(tok: _Token, lineno: int) -> str:
-        name = expect_name(tok, lineno)
-        if name not in declared:
-            raise UndeclaredName(f"name {name!r} was never declared", lineno, tok.column)
-        return name
-
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, lineno)
+        tokens = _TOKEN.findall(line.partition("#")[0])
         if not tokens:
             continue
+        if "" in tokens:
+            _tokenize(line, lineno)  # raises at the first stray character
         head = tokens[0]
         body = tokens[1:]
-        if head.text == "set":
-            if not body:
-                raise ParseError("set needs at least one name", lineno, head.column + len("set"), ("NAME",))
-            for tok in body:
-                name = expect_name(tok, lineno)
-                if name in declared:
-                    raise DuplicateName(f"element {name!r} declared twice", lineno, tok.column)
-                declared.add(name)
-                names.append(name)
-        elif head.text == "rule":
-            arrow = next((i for i, t in enumerate(body) if t.text == "->"), None)
-            if arrow is None:
-                column = body[-1].column if body else head.column + len("rule")
-                raise ParseError("rule needs '->'", lineno, column, ("->",))
-            premises = tuple(expect_declared(t, lineno) for t in body[:arrow])
-            rest = body[arrow + 1 :]
-            if not rest:
-                raise ParseError("rule needs a conclusion", lineno, body[arrow].column, ("NAME",))
-            if len(rest) > 1:
+        if head == "rule":
+            if "->" not in body:
+                at = _column(line, lineno, len(body)) if body else _column(line, lineno, 0) + len(head)
+                raise ParseError("rule needs '->'", lineno, at, ("->",))
+            arrow = body.index("->")
+            premises = body[:arrow]
+            for name in premises:
+                if name not in declared:
+                    raise _not_a_name(line, lineno, 1 + premises.index(name))
+            if len(body) != arrow + 2:
+                if len(body) == arrow + 1:
+                    raise ParseError(
+                        "rule needs a conclusion", lineno, _column(line, lineno, arrow + 1), ("NAME",)
+                    )
                 raise ParseError(
-                    f"unexpected {rest[1].text!r} after the conclusion", lineno, rest[1].column,
-                    ("end of line",),
+                    f"unexpected {body[arrow + 2]!r} after the conclusion", lineno,
+                    _column(line, lineno, arrow + 3), ("end of line",),
                 )
-            conclusion = expect_declared(rest[0], lineno)
-            rules.append(AstRule(premises, conclusion, as_axiom=False))
-        elif head.text == "axiom":
+            conclusion = body[-1]
+            if conclusion not in declared:
+                raise _not_a_name(line, lineno, arrow + 2)
+            rules.append(AstRule(tuple(premises), conclusion, False))
+        elif head == "set":
             if not body:
-                raise ParseError("axiom needs an open", lineno, head.column + len("axiom"), ("NAME",))
-            opened = expect_declared(body[0], lineno)
-            if len(body) < 2 or body[1].text != "<-":
-                column = body[1].column if len(body) > 1 else body[0].column + len(body[0].text)
-                raise ParseError("axiom needs '<-'", lineno, column, ("<-",))
-            covering = tuple(expect_declared(t, lineno) for t in body[2:])
-            rules.append(AstRule(covering, opened, as_axiom=True))
-        elif head.text == "seed":
+                at = _column(line, lineno, 0) + len(head)
+                raise ParseError("set needs at least one name", lineno, at, ("NAME",))
+            for i, name in enumerate(body, start=1):
+                if name in declared:
+                    at = _column(line, lineno, i)
+                    raise DuplicateName(f"element {name!r} declared twice", lineno, at)
+                if name in KEYWORDS or name in ("->", "<-"):
+                    raise _not_a_name(line, lineno, i)
+                declared[name] = len(declared)
+        elif head == "axiom":
+            if not body:
+                at = _column(line, lineno, 0) + len(head)
+                raise ParseError("axiom needs an open", lineno, at, ("NAME",))
+            if body[0] not in declared:
+                raise _not_a_name(line, lineno, 1)
+            if len(body) < 2 or body[1] != "<-":
+                at = _column(line, lineno, 2) if len(body) > 1 else _column(line, lineno, 1) + len(body[0])
+                raise ParseError("axiom needs '<-'", lineno, at, ("<-",))
+            covering = body[2:]
+            for name in covering:
+                if name not in declared:
+                    raise _not_a_name(line, lineno, 3 + covering.index(name))
+            rules.append(AstRule(tuple(covering), body[0], True))
+        elif head == "seed":
+            for name in body:
+                if name not in declared:
+                    raise _not_a_name(line, lineno, 1 + body.index(name))
             if seed is None:
                 seed = []
-            for tok in body:
-                seed.append(expect_declared(tok, lineno))
-        elif head.text == "goal":
+            seed += body
+        elif head == "goal":
             if goal is not None:
                 raise ParseError(
-                    f"goal already declared on line {goal_line}", lineno, head.column
+                    f"goal already declared on line {goal_line}", lineno, _column(line, lineno, 0)
                 )
             if not body:
-                raise ParseError("goal needs a name", lineno, head.column + len("goal"), ("NAME",))
+                at = _column(line, lineno, 0) + len(head)
+                raise ParseError("goal needs a name", lineno, at, ("NAME",))
             if len(body) > 1:
                 raise ParseError(
-                    f"unexpected {body[1].text!r} after the goal", lineno, body[1].column,
+                    f"unexpected {body[1]!r} after the goal", lineno, _column(line, lineno, 2),
                     ("end of line",),
                 )
-            goal = expect_declared(body[0], lineno)
+            if body[0] not in declared:
+                raise _not_a_name(line, lineno, 1)
+            goal = body[0]
             goal_line = lineno
         else:
             raise ParseError(
-                f"unknown directive {head.text!r}", lineno, head.column, KEYWORDS
+                f"unknown directive {head!r}", lineno, _column(line, lineno, 0), KEYWORDS
             )
     return RuleFileAST(
-        tuple(names),
+        tuple(declared),
         tuple(rules),
         tuple(seed) if seed is not None else None,
         goal,

@@ -54,23 +54,22 @@ class InductiveDefinition:
     _conclusion_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        index = self.carrier._index
         kept: list[Rule] = []
-        seen: set[tuple[int, str]] = set()
+        conclusions: list[int] = []
+        seen: set[tuple[int, int]] = set()
         for rule in self.rules:
             if rule.premises.of != self.carrier:
                 raise ValueError(f"rule {rule} ranges over a different carrier")
-            key = (rule.premises.bits, rule.conclusion)
+            key = (rule.premises.bits, index[rule.conclusion])  # Rule checked the conclusion
             if key in seen:
                 warnings.warn(f"dropping duplicate rule {rule}", stacklevel=2)
                 continue
             seen.add(key)
             kept.append(rule)
+            conclusions.append(key[1])
         object.__setattr__(self, "rules", tuple(kept))
-        object.__setattr__(
-            self,
-            "_conclusion_index",
-            tuple(self.carrier.index(r.conclusion) for r in kept),
-        )
+        object.__setattr__(self, "_conclusion_index", tuple(conclusions))
 
     @cached_property
     def _premise_index(self) -> tuple[tuple[int, ...], ...]:
@@ -78,7 +77,9 @@ class InductiveDefinition:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.carrier, self.rules))
+        # equal definitions have equal carriers, premise masks and
+        # conclusions; hashing those skips a Rule and Subset hash per rule
+        return hash((self.carrier, tuple(r.premises.bits for r in self.rules), self._conclusion_index))
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,12 +18,12 @@ compactness, made executable here:
     finite family that depends only on phi (compactness_basis).
 
 synthesize_proof, witness and characterize read the staged counting
-pass behind closure (inddef). They, render_proof and proof_to_json use
-explicit stacks, so proof depth is not bounded by the Python stack.
-The signature, the derivation search and compactness_basis read each
-rule's premise indices from the definition; Subset is only the type
-of arguments and results. ass and is_proof visit each shared node of
-a proof once.
+pass behind closure (inddef). They, the renderers and proof_from_json
+use explicit stacks, so proof depth is not bounded by the Python stack.
+The signature, the derivation search, the renderers and
+compactness_basis read each rule's premise indices from the
+definition; Subset is only the type of arguments and results. ass and
+is_proof visit each shared node of a proof once.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -34,7 +34,7 @@ of the premise-free rules.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .errors import ArityMismatch, UnknownElement
@@ -52,9 +52,13 @@ class ProofSignature:
     labels: one per rule (named "rule0", "rule1", ... and freshened if
     an element uses such a name), then one per carrier element, in
     declaration order. A rule label's slots are named
-    "<rulelabel>.<premise>" and target that premise; an element label
-    has no slots. kind_of and slot_target expose this structure so no
-    caller ever parses a label or slot name.
+    "<rulelabel>.<premise>" and target that premise, in premise index
+    order; an element label has no slots. kind_of and slot_target
+    expose this structure so no caller ever parses a label or slot name.
+
+    The labels and kind_of are built with the signature; sig and the
+    slots are built on first use, since synthesizing and rendering a
+    proof read each rule's premises from the definition instead.
     """
 
     def __init__(self, phi: InductiveDefinition):
@@ -69,12 +73,20 @@ class ProofSignature:
             taken.add(label)
             rule_labels.append(label)
         self.rule_labels: tuple[str, ...] = tuple(rule_labels)
+        self._kind: dict[str, tuple[str, object]] = {}
+        for i, label in enumerate(self.rule_labels):
+            self._kind[label] = (RULE, i)
+        for name in names:
+            self._kind[name] = (ASSUME, name)
 
-        labels = Carrier(self.rule_labels + names)
+    @cached_property
+    def _slots(self) -> tuple[Signature, dict[str, str], tuple[dict[str, str], ...]]:
+        """(signature, slot -> premise, per rule: premise -> slot)."""
+        names = self.phi.carrier.names
         arities = []
         slot_target: dict[str, str] = {}
         slot_of: list[dict[str, str]] = []
-        for label, premise_index in zip(self.rule_labels, phi._premise_index):
+        for label, premise_index in zip(self.rule_labels, self.phi._premise_index):
             per_premise: dict[str, str] = {}
             for b in premise_index:
                 premise = names[b]
@@ -85,15 +97,13 @@ class ProofSignature:
             slot_of.append(per_premise)
         empty = Carrier(())
         arities.extend(empty for _ in names)
+        sig = Signature(Carrier(self.rule_labels + names), tuple(arities))
+        return sig, slot_target, tuple(slot_of)
 
-        self.sig = Signature(labels, tuple(arities))
-        self._slot_target = slot_target
-        self._slot_of_rule = tuple(slot_of)
-        self._kind: dict[str, tuple[str, object]] = {}
-        for i, label in enumerate(self.rule_labels):
-            self._kind[label] = (RULE, i)
-        for name in names:
-            self._kind[name] = (ASSUME, name)
+    @property
+    def sig(self) -> Signature:
+        """The tree signature: labels and, per label, its slot carrier."""
+        return self._slots[0]
 
     def kind_of(self, label: str) -> tuple[str, object]:
         """(RULE, rule index) or (ASSUME, element name) for a label."""
@@ -104,7 +114,7 @@ class ProofSignature:
 
     def slot_target(self, slot: str) -> str:
         """The premise element a rule node's slot must conclude."""
-        return self._slot_target[slot]
+        return self._slots[1][slot]
 
     def assumption(self, element: str) -> WTree:
         """The leaf that assumes one carrier element."""
@@ -113,7 +123,7 @@ class ProofSignature:
 
     def rule_app(self, index: int, children: Mapping[str, WTree]) -> WTree:
         """Apply rule #index to children keyed by premise name."""
-        by_premise = self._slot_of_rule[index]
+        by_premise = self._slots[2][index]
         extra = [p for p in children if p not in by_premise]
         missing = [p for p in by_premise if p not in children]
         if extra or missing:
@@ -279,28 +289,50 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
 
     Because every closure stabilizes within |carrier| stages, every
     witness(phi, u, goal) result is a member, whatever u and goal are.
-    Computed by dynamic programming over depth: reachable[x] holds the
+    Computed by dynamic programming over depth: reach[x] holds the
     assumption bitmasks of derivations concluding x. The sets only grow
-    with depth, so a round that adds nothing is the fixpoint.
+    with depth, so each round is semi-naive: it recombines only the
+    rules with a premise whose set grew in the round before, and only
+    the combinations that take one of those new masks. A round that
+    adds nothing is the fixpoint.
     """
     n = len(phi.carrier)
-    prev: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n + 1):
-        cur: list[set[int]] = [{1 << x} for x in range(n)]
-        for rule_premises, ci in zip(phi._premise_index, phi._conclusion_index):
-            combos = {0}
-            for b in rule_premises:
-                options = prev[b]
-                if not options:
-                    break
-                combos = {c | o for c in combos for o in options}
-            else:
-                cur[ci] |= combos
-        if cur == prev:
+    reach: list[set[int]] = [{1 << x} for x in range(n)]  # depth 1: the leaves
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    for ri, (rule_premises, ci) in enumerate(zip(phi._premise_index, phi._conclusion_index)):
+        if not rule_premises:
+            reach[ci].add(0)
+        for b in rule_premises:
+            watchers[b].append(ri)
+    last: dict[int, set[int]] = {x: set(masks) for x, masks in enumerate(reach)}
+    for _ in range(n):  # depths 2 .. n + 1
+        gained: dict[int, set[int]] = {}
+        for ri in {ri for b in last for ri in watchers[b]}:
+            premises = phi._premise_index[ri]
+            ci = phi._conclusion_index[ri]
+            for i, b in enumerate(premises):
+                if b not in last:
+                    continue
+                # a new mask at premise i, any mask before it, an old one after it
+                combos = {0}
+                for j, other in enumerate(premises):
+                    if j < i:
+                        pool = reach[other]
+                    elif j == i:
+                        pool = last[other]
+                    else:
+                        pool = reach[other] - last.get(other, set())
+                    combos = {c | o for c in combos for o in pool}
+                combos -= reach[ci]
+                if combos:
+                    gained.setdefault(ci, set()).update(combos)
+        if not gained:
             break
-        prev = cur
+        for x, masks in gained.items():  # only now: depth d reads depth d - 1
+            reach[x] |= masks
+        last = gained
     masks: set[int] = set()
-    for per_element in prev:
+    for per_element in reach:
         masks |= per_element
     return frozenset(Subset(phi.carrier, m) for m in masks)
 
@@ -308,6 +340,8 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
 def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     """Schema: {"kind": "assume", "element": s} for leaves,
     {"kind": "rule", "rule": i, "children": {premise: node}} otherwise."""
+    names = psig.phi.carrier.names
+    premise_index = psig.phi._premise_index
     root: dict = {}
     stack = [(w, root)]
     while stack:
@@ -318,28 +352,46 @@ def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
             continue
         children: dict[str, dict] = {}
         out.update(kind="rule", rule=payload, children=children)
-        for slot, child in zip(psig.sig.arity(node.label).names, node.children):
-            children[psig.slot_target(slot)] = child_out = {}
+        for b, child in zip(premise_index[payload], node.children):  # type: ignore[index]
+            children[names[b]] = child_out = {}
             stack.append((child, child_out))
     return root
 
 
 def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
-    kind = data.get("kind")
-    if kind == "assume":
-        return psig.assumption(data["element"])
-    if kind == "rule":
-        children = {
-            premise: proof_from_json(psig, node)
-            for premise, node in data.get("children", {}).items()
-        }
-        return psig.rule_app(int(data["rule"]), children)
-    raise UnknownElement(f"unknown node kind {kind!r}")
+    """The derivation a proof_to_json document describes.
+
+    Each node is checked as a recursive reading would check it: its
+    kind on the way down, its rule application once its children are
+    built. Iterative, so deep documents are fine.
+    """
+    built: list[WTree] = []
+    stack: list[tuple[dict, dict | None]] = [(data, None)]
+    while stack:
+        node, children = stack.pop()
+        if children is not None:  # every child is built: apply the rule
+            k = len(children)
+            trees = built[len(built) - k :]
+            del built[len(built) - k :]
+            built.append(psig.rule_app(int(node["rule"]), dict(zip(children, trees))))
+            continue
+        kind = node.get("kind")
+        if kind == "assume":
+            built.append(psig.assumption(node["element"]))
+        elif kind == "rule":
+            children = node.get("children", {})
+            stack.append((node, children))
+            stack.extend((child, None) for child in reversed(list(children.values())))
+        else:
+            raise UnknownElement(f"unknown node kind {kind!r}")
+    return built[0]
 
 
 def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     """Graphviz rendering: every node annotated with its conclusion,
     assumption leaves drawn as boxes."""
+    names = psig.phi.carrier.names
+    premise_index = psig.phi._premise_index
     nodes: list[str] = []
     edges: list[str] = []
     stack: list[tuple[WTree, int | None, str | None]] = [(w, None, None)]
@@ -357,9 +409,9 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
         if parent is not None:
             edges.append(f'  n{parent} -> n{me} [label="{_esc(str(via))}"];')
         if kind == RULE:
-            slots = psig.sig.arity(node.label).names
-            for slot, child in reversed(list(zip(slots, node.children))):
-                stack.append((child, me, psig.slot_target(slot)))
+            premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
+            for premise, child in reversed(list(zip(premises, node.children))):
+                stack.append((child, me, premise))
     return "\n".join(["digraph proof {", *nodes, *edges, "}"]) + "\n"
 
 

@@ -223,18 +223,40 @@ def signature_from_json(data: dict) -> Signature:
 
 
 def tree_to_json(sig: Signature, tree: WTree) -> dict:
-    _check_node(sig, tree)
-    slots = sig.arity(tree.label).names
-    return {
-        "label": tree.label,
-        "children": {s: tree_to_json(sig, c) for s, c in zip(slots, tree.children)},
-    }
+    """{"label": l, "children": {slot: child}}, nodes checked in preorder."""
+    root: dict = {}
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        _check_node(sig, node)
+        children: dict[str, dict] = {}
+        out.update(label=node.label, children=children)
+        pending = []
+        for slot, child in zip(sig.arity(node.label).names, node.children):
+            children[slot] = child_out = {}
+            pending.append((child, child_out))
+        stack.extend(reversed(pending))
+    return root
 
 
 def tree_from_json(sig: Signature, data: dict) -> WTree:
-    label = data["label"]
-    children = {s: tree_from_json(sig, c) for s, c in data.get("children", {}).items()}
-    return sup(sig, label, children)
+    """The tree a tree_to_json document describes; each node is built
+    with sup once its children are, as a recursive reading would."""
+    built: list[WTree] = []
+    stack: list[tuple] = [(data, None)]  # (node, None), then (label, children)
+    while stack:
+        item, children = stack.pop()
+        if children is not None:  # every child is built
+            k = len(children)
+            trees = built[len(built) - k :]
+            del built[len(built) - k :]
+            built.append(sup(sig, item, dict(zip(children, trees))))
+            continue
+        label = item["label"]
+        children = item.get("children", {})
+        stack.append((label, children))
+        stack.extend((child, None) for child in reversed(list(children.values())))
+    return built[0]
 
 
 def tree_to_dot(sig: Signature, tree: WTree) -> str:

@@ -4,9 +4,10 @@ Everything here is deliberately brute force and shares no code with
 the engine paths it checks: proofs are enumerated as plain nested
 tuples, least fixed points are found by scanning all subsets,
 surjections are enumerated as raw tables and quotiented afterwards,
-subset members are read by scanning the whole carrier, and rule-file
-lines are tokenized one character at a time. Only usable at tiny
-sizes.
+subset members are read by scanning the whole carrier, rule-file
+lines are tokenized one character at a time and whole rule files are
+read from those tokens, and assumption sets are recombined from every
+rule in every round. Only usable at tiny sizes.
 """
 
 from __future__ import annotations
@@ -179,3 +180,115 @@ def reference_tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
         tokens.append((text, pos + 1))
         pos = m.end()
     return tokens
+
+
+REF_KEYWORDS = ("set", "rule", "axiom", "seed", "goal")
+
+
+class RefParseFailure(Exception):
+    """Where reference_parse stopped: (error class name, str of the
+    error, line, column, expected tokens)."""
+
+
+def reference_parse(text: str) -> tuple:
+    """A rule file read token by token from reference_tokenize, as
+    (names, rules, seed, goal) with each rule (premises, conclusion,
+    as_axiom); seed is None without a seed line. Raises RefParseFailure
+    for the first error, as the grammar in the README words it."""
+    names: list[str] = []
+    rules: list[tuple] = []
+    seed: list[str] | None = None
+    goal: str | None = None
+    goal_line = 0
+
+    def fail(kind, message, lineno, column, expected=()):
+        shown = f"{lineno}:{column}: {message}"
+        if expected:
+            shown += f" (expected {' or '.join(expected)})"
+        raise RefParseFailure(kind, shown, lineno, column, expected)
+
+    def name_at(tokens, i, lineno, declared=True):
+        word, column = tokens[i]
+        if word in REF_KEYWORDS:
+            fail("ParseError", f"keyword {word!r} cannot be used as a name", lineno, column, ("NAME",))
+        if word in ("->", "<-"):
+            fail("ParseError", f"expected a name, got {word!r}", lineno, column, ("NAME",))
+        if declared and word not in names:
+            fail("UndeclaredName", f"name {word!r} was never declared", lineno, column)
+        return word
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = reference_tokenize(line, lineno)
+        except TokenError as err:
+            fail("ParseError", *err.args)
+        if not tokens:
+            continue
+        words = [word for word, _ in tokens]
+        head, column = tokens[0]
+        last = len(tokens) - 1
+        if head == "set":
+            if last == 0:
+                fail("ParseError", "set needs at least one name", lineno, column + 3, ("NAME",))
+            for i in range(1, last + 1):
+                word = name_at(tokens, i, lineno, declared=False)
+                if word in names:
+                    fail("DuplicateName", f"element {word!r} declared twice", lineno, tokens[i][1])
+                names.append(word)
+        elif head == "rule":
+            if "->" not in words[1:]:
+                at = tokens[last][1] if last else column + 4
+                fail("ParseError", "rule needs '->'", lineno, at, ("->",))
+            arrow = words.index("->", 1)
+            premises = tuple(name_at(tokens, i, lineno) for i in range(1, arrow))
+            if arrow == last:
+                fail("ParseError", "rule needs a conclusion", lineno, tokens[arrow][1], ("NAME",))
+            if arrow + 1 < last:
+                fail("ParseError", f"unexpected {words[arrow + 2]!r} after the conclusion",
+                     lineno, tokens[arrow + 2][1], ("end of line",))
+            rules.append((premises, name_at(tokens, arrow + 1, lineno), False))
+        elif head == "axiom":
+            if last == 0:
+                fail("ParseError", "axiom needs an open", lineno, column + 5, ("NAME",))
+            opened = name_at(tokens, 1, lineno)
+            if last < 2 or words[2] != "<-":
+                at = tokens[2][1] if last >= 2 else tokens[1][1] + len(words[1])
+                fail("ParseError", "axiom needs '<-'", lineno, at, ("<-",))
+            covering = tuple(name_at(tokens, i, lineno) for i in range(3, last + 1))
+            rules.append((covering, opened, True))
+        elif head == "seed":
+            seed = (seed or []) + [name_at(tokens, i, lineno) for i in range(1, last + 1)]
+        elif head == "goal":
+            if goal is not None:
+                fail("ParseError", f"goal already declared on line {goal_line}", lineno, column)
+            if last == 0:
+                fail("ParseError", "goal needs a name", lineno, column + 4, ("NAME",))
+            if last > 1:
+                fail("ParseError", f"unexpected {words[2]!r} after the goal", lineno, tokens[2][1],
+                     ("end of line",))
+            goal, goal_line = name_at(tokens, 1, lineno), lineno
+        else:
+            fail("ParseError", f"unknown directive {head!r}", lineno, column, REF_KEYWORDS)
+    return tuple(names), tuple(rules), None if seed is None else tuple(seed), goal
+
+
+def basis_by_full_rounds(phi: InductiveDefinition) -> set[frozenset[str]]:
+    """Assumption sets of derivations of depth <= |S| + 1, as name sets.
+
+    Round d recombines every rule from the sets of round d - 1, read
+    through each rule's premise names, and the rounds stop at the first
+    one that changes nothing.
+    """
+    names = phi.carrier.names
+    prev: dict[str, set[frozenset[str]]] = {x: set() for x in names}
+    for _ in range(len(names) + 1):
+        cur = {x: {frozenset((x,))} for x in names}
+        for rule in phi.rules:
+            combos = {frozenset()}
+            for b in rule.premises.names():
+                combos = {c | o for c in combos for o in prev[b]}
+            cur[rule.conclusion] |= combos
+        if cur == prev:
+            break
+        prev = cur
+    return set().union(*prev.values())

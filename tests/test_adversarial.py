@@ -1,7 +1,8 @@
 """The adversarial corpus: a chain of 2000 and a ladder of 30 rungs.
 
 chain2000.rules derives c1999 from c0 through 1999 stages, deeper than
-the Python stack allows recursion to go. ladder30.rules derives both
+the Python stack allows recursion to go, so its proofs are compared by
+their rendered text: == on trees or nested dicts would recurse. ladder30.rules derives both
 x_{k+1} and y_{k+1} from {x_k, y_k}: the proof of x29 is a DAG of
 2 * 30 - 1 nodes that expands to a tree of 2 ** 30 - 1 nodes, so every
 measure of it must visit each shared node once.
@@ -16,8 +17,18 @@ from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.finite import Subset
 from indkernel.inddef import closure_stages
-from indkernel.proofs import ass, build_proof_signature, characterize, is_proof, synthesize_proof, witness
-from indkernel.wtree import depth, node_count
+from indkernel.proofs import (
+    ass,
+    build_proof_signature,
+    characterize,
+    is_proof,
+    proof_from_json,
+    proof_to_json,
+    render_proof,
+    synthesize_proof,
+    witness,
+)
+from indkernel.wtree import depth, node_count, tree_from_json, tree_to_json
 
 CORPUS = Path(__file__).resolve().parent / "adversarial"
 CHAIN = CORPUS / "chain2000.rules"
@@ -62,6 +73,21 @@ class TestChain2000:
     def test_cli_exits_zero(self, command, first_line, capsys):
         assert run_command([command, str(CHAIN)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == first_line
+
+    def test_proof_json_reads_back(self):
+        phi, seed, goal = load(CHAIN)
+        proof = synthesize_proof(phi, seed, goal)
+        psig = build_proof_signature(phi)
+        back = proof_from_json(psig, proof_to_json(psig, proof))
+        assert render_proof(psig, back) == render_proof(psig, proof)
+        assert is_proof(psig, back)
+
+    def test_tree_json_reads_back(self):
+        phi, seed, goal = load(CHAIN)
+        proof = synthesize_proof(phi, seed, goal)
+        psig = build_proof_signature(phi)
+        back = tree_from_json(psig.sig, tree_to_json(psig.sig, proof))
+        assert render_proof(psig, back) == render_proof(psig, proof)
 
     @pytest.mark.xfail(
         strict=True,

@@ -7,7 +7,15 @@ import pytest
 
 from indkernel import cli
 from indkernel.cli import run_command
-from indkernel.dsl import emit, parse_rule_file
+from indkernel.dsl import definition_from_ast, emit, parse_rule_file
+from indkernel.proofs import (
+    build_proof_signature,
+    is_proof,
+    proof_from_json,
+    proof_to_json,
+    synthesize_proof,
+)
+from indkernel.wtree import Signature
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,6 +73,37 @@ class TestProve:
         assert first.startswith("digraph proof {")
         run(capsys, "prove", GOLDEN / "chain.rules", "--dot", target)
         assert target.read_text() == first
+
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--dot",)], ids=["text", "json", "dot"])
+    def test_prove_builds_no_slot_signature(self, flags, capsys, tmp_path, monkeypatch):
+        """prove reads each rule's premises from the definition, so it
+        prints the same when building a tree Signature fails; the slots
+        are still built on demand once that is lifted."""
+        path = GOLDEN / "diamond.rules"
+        dot = tmp_path / "proof.dot"
+        argv = ["prove", path, *flags, *([dot] if flags == ("--dot",) else [])]
+
+        def outputs():
+            build_proof_signature.cache_clear()
+            code, out, err = run(capsys, *argv)
+            return code, out, err, dot.read_text() if dot.exists() else None
+
+        want = outputs()
+        dot.unlink(missing_ok=True)
+
+        def no_signature(self):
+            raise AssertionError("prove built the slot signature")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Signature, "__post_init__", no_signature)
+            got = outputs()
+        assert got == want
+        assert got[0] == 0
+        phi, seed, goal = definition_from_ast(parse_rule_file(path.read_text()))
+        psig = build_proof_signature(phi)  # the one the patched run cached
+        proof = synthesize_proof(phi, seed, goal)
+        assert is_proof(psig, proof)
+        assert is_proof(psig, proof_from_json(psig, proof_to_json(psig, proof)))
 
     def test_unprovable_goal(self, capsys):
         code, out, _ = run(capsys, "prove", GOLDEN / "unprovable.rules")

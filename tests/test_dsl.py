@@ -19,7 +19,7 @@ from indkernel.errors import DslError, DuplicateName, ParseError, UndeclaredName
 from indkernel.finite import Subset
 from indkernel.gen import random_ast
 from indkernel.inddef import closure
-from oracles import TokenError, reference_tokenize
+from oracles import RefParseFailure, TokenError, reference_parse, reference_tokenize
 
 
 class TestParsing:
@@ -219,3 +219,90 @@ def test_tokenizer_matches_the_per_character_reference():
         else:
             assert [(t.text, t.column) for t in _tokenize(line, lineno)] == want, line
     assert 500 < errors < 3500  # both outcomes are exercised
+
+
+def random_rule_text(rng):
+    """A valid rule file over e0..e{n-1}, one directive per line."""
+    names = [f"e{i}" for i in range(rng.randint(1, 6))]
+    cut = rng.randint(1, len(names))
+    lines = ["set " + " ".join(names[:cut])]
+    if cut < len(names):
+        lines.append("set " + " ".join(names[cut:]))
+    for _ in range(rng.randint(0, 5)):
+        premises = rng.sample(names, rng.randint(0, min(3, len(names))))
+        conclusion = rng.choice(names)
+        if rng.random() < 0.3:
+            lines.append(f"axiom {conclusion} <- {' '.join(premises)}".rstrip())
+        else:
+            lines.append(f"rule {' '.join(premises)} -> {conclusion}".replace("rule  ", "rule "))
+    for _ in range(rng.randint(0, 2)):
+        lines.append("seed " + " ".join(rng.sample(names, rng.randint(0, len(names)))))
+    if rng.random() < 0.7:
+        lines.append("goal " + rng.choice(names))
+    return lines
+
+
+def mutate(rng, lines):
+    """One edit of the kinds a hand-written rule file gets wrong or
+    writes differently; some keep the file valid."""
+    i = rng.randrange(len(lines))
+    words = lines[i].split(" ")
+    kind = rng.randrange(12)
+    if kind == 0:  # glued arrows
+        lines[i] = lines[i].replace(" -> ", "->").replace(" <- ", "<-")
+    elif kind == 1:  # a comment from mid-line on
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = lines[i][:at] + rng.choice(["#", " # note", "#->$"]) + lines[i][at:]
+    elif kind == 2:  # other blanks between the tokens
+        blanks = [" ", "\t", "\u00a0", "  ", " \t"]
+        lines[i] = "".join(rng.choice(blanks) if c == " " else c for c in lines[i])
+    elif kind == 3:  # a keyword where a name belongs
+        words[rng.randrange(len(words))] = rng.choice(["set", "rule", "axiom", "seed", "goal"])
+        lines[i] = " ".join(words)
+    elif kind == 4 and len(words) > 2:  # an undeclared name, not first on the line
+        words[rng.randrange(2, len(words))] = "zz"
+        lines[i] = " ".join(words)
+    elif kind == 5:  # a duplicate declaration
+        lines.insert(rng.randint(1, len(lines)), "set " + rng.choice(["e0", "e1", "zz zz"]))
+    elif kind == 6:  # a missing arrow
+        lines[i] = lines[i].replace("->", "").replace("<-", "")
+    elif kind == 7:  # a missing conclusion, open or covering set
+        lines[i] = " ".join(words[:-1])
+    elif kind == 8:  # a repeated goal
+        lines.append("goal " + rng.choice(["e0", "zz", ""]))
+    elif kind == 9:  # a stray character
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = lines[i][:at] + rng.choice("$-<>!9é.") + lines[i][at:]
+    elif kind == 10:  # a use before the declaration
+        lines.insert(0, lines.pop(i))
+    else:  # a blank line, an unknown directive, a line cut short or one token too many
+        extra = ["", "   ", "sets e0", "rule", "axiom", "goal e0 e1", "seed e0 ->", "rule -> e0 e1"]
+        lines.insert(i, rng.choice(extra))
+    return lines
+
+
+def test_parser_matches_the_whole_file_reference():
+    """parse_rule_file gives the reference's AST on valid files and the
+    reference's error class, message, line, column and expected tokens
+    on the others, over seeded mutations of random rule files."""
+    rng = Random(40404)
+    valid = 0
+    for _ in range(3000):
+        lines = random_rule_text(rng)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            lines = mutate(rng, lines)
+        text = "\n".join(lines)
+        try:
+            want = reference_parse(text)
+        except RefParseFailure as ref:
+            with pytest.raises((DslError, DuplicateName)) as exc:
+                parse_rule_file(text)
+            err = exc.value
+            got = (type(err).__name__, str(err), err.line, err.column, getattr(err, "expected", ()))
+            assert got == ref.args, text
+        else:
+            ast = parse_rule_file(text)
+            rules = tuple((r.premises, r.conclusion, r.as_axiom) for r in ast.rules)
+            assert (ast.names, rules, ast.seed, ast.goal) == want, text
+            valid += 1
+    assert 600 < valid < 2400  # both outcomes are exercised

@@ -1,0 +1,42 @@
+"""The oracles in tests/oracles.py share no code with the engine paths
+they check: they import nothing from the parser and name none of the
+engine's private helpers."""
+
+import ast
+from pathlib import Path
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+ENGINE_INTERNALS = {"_staged_pass", "_derivation", "_premise_index", "_tokenize"}
+
+
+def engine_ties(source: str) -> set[str]:
+    """The dsl imports and engine-internal names a module's source uses."""
+    ties = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            ties |= {alias.name for alias in node.names} & ENGINE_INTERNALS
+        else:
+            modules = []
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            if name in ENGINE_INTERNALS:
+                ties.add(name)
+        ties |= {m for m in modules if m == "indkernel.dsl" or m.startswith("indkernel.dsl.")}
+    return ties
+
+
+def test_oracles_import_no_parser_and_name_no_engine_internals():
+    assert engine_ties(ORACLES.read_text()) == set()
+
+
+def test_the_guard_sees_each_kind_of_tie():
+    assert engine_ties("from indkernel import dsl") == {"indkernel.dsl"}
+    assert engine_ties("import indkernel.dsl as d") == {"indkernel.dsl"}
+    assert engine_ties("from indkernel.inddef import _staged_pass") == {"_staged_pass"}
+    assert engine_ties("x = phi._premise_index") == {"_premise_index"}
+    assert engine_ties("getattr(m, '_derivation')") == {"_derivation"}
+    assert engine_ties("def _tokenize(): pass") == {"_tokenize"}

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from indkernel.errors import ArityMismatch, UnknownElement
 from indkernel.finite import Carrier, Subset
 from indkernel.inddef import InductiveDefinition, Rule, closure, closure_stages, naive_closure_oracle
+from indkernel.gen import InstanceSpec, random_definition
 from indkernel.proofs import (
+    ProofSignature,
     ass,
     build_proof_signature,
     characterize,
@@ -25,6 +27,7 @@ from indkernel.proofs import (
 )
 from indkernel.wtree import WTree, depth, fold, random_tree, subtrees
 from oracles import (
+    basis_by_full_rounds,
     enumerate_proof_shapes,
     shape_ass,
     shape_conc,
@@ -94,6 +97,25 @@ class TestBuildProofSignature:
         psig = build_proof_signature(defn(clash, (["x"], "rule0")))
         assert psig.rule_labels == ("rule0_",)
         assert len(set(psig.sig.labels.names)) == 3
+
+    def test_signature_labels_slots_and_targets(self):
+        """One label per rule, freshened past element names, then one per
+        element; a rule's slots are "<label>.<premise>" in carrier order."""
+        carrier = Carrier.of("rule1", "b", "a")
+        phi = defn(carrier, (["a", "b"], "rule1"), ([], "a"), (["rule1"], "b"))
+        psig = ProofSignature(phi)
+        assert psig.sig.labels.names == ("rule0", "rule1_", "rule2", "rule1", "b", "a")
+        arity = {label: psig.sig.arity(label).names for label in psig.sig.labels.names}
+        assert arity == {
+            "rule0": ("rule0.b", "rule0.a"),
+            "rule1_": (),
+            "rule2": ("rule2.rule1",),
+            "rule1": (),
+            "b": (),
+            "a": (),
+        }
+        targets = {slot: psig.slot_target(slot) for slots in arity.values() for slot in slots}
+        assert targets == {"rule0.b": "b", "rule0.a": "a", "rule2.rule1": "rule1"}
 
     def test_equal_systems_built_apart_share_one_cache_entry(self):
         spec = ((["a", "c"], "b"), (["b"], "c"), ([], "a"))
@@ -279,6 +301,50 @@ class TestCompactnessBasis:
         assert compactness_basis(phi) == want
         by_enumeration = {shape_ass(phi, s) for s in enumerate_proof_shapes(phi, 2)}
         assert {frozenset(v.names()) for v in compactness_basis(phi)} == by_enumeration
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 150])
+    def test_chain_basis_is_the_singletons(self, n):
+        """Every derivation on a chain has exactly one leaf."""
+        carrier = Carrier(tuple(f"c{i}" for i in range(n)))
+        phi = defn(carrier, *(([f"c{i}"], f"c{i + 1}") for i in range(n - 1)))
+        assert compactness_basis(phi) == frozenset(Subset.from_names(carrier, [x]) for x in carrier)
+
+    @pytest.mark.parametrize("levels", [1, 2, 4, 7])
+    def test_ladder_basis_by_its_recursion(self, levels):
+        """Rung j is x_j or y_j, each derived from {x_(j-1), y_(j-1)}: a
+        rung-j set is a rung-j element alone or a union of one set for
+        x_(j-1) and one for y_(j-1)."""
+        carrier = Carrier(tuple(f"{s}{j}" for j in range(levels) for s in "xy"))
+        rules = [([f"x{j - 1}", f"y{j - 1}"], f"{s}{j}") for j in range(1, levels) for s in "xy"]
+        want, below = set(), set()
+        for j in range(levels):
+            x, y = frozenset([f"x{j}"]), frozenset([f"y{j}"])
+            want |= {x, y} | below
+            below = {a | b for a in {x} | below for b in {y} | below}
+        got = compactness_basis(defn(carrier, *rules))
+        assert {frozenset(v.names()) for v in got} == want
+
+    def test_rounds_stop_at_depth_carrier_plus_one(self):
+        """Going round the loop x -> w1 -> w2 -> x twice, once through z1
+        and once through z2, assumes {x, z1, z2} at depth 7; the basis of
+        these 5 elements stops at depth 6, one round too early for it."""
+        carrier = Carrier.of("x", "w1", "w2", "z1", "z2")
+        phi = defn(carrier, (["x"], "w1"), (["w1"], "w2"), (["w2", "z1"], "x"), (["w2", "z2"], "x"))
+        got = {frozenset(v.names()) for v in compactness_basis(phi)}
+        assert got == {shape_ass(phi, s) for s in enumerate_proof_shapes(phi, 6)}
+        assert frozenset({"x", "z1", "z2"}) not in got
+        assert frozenset({"x", "z1", "z2"}) in {shape_ass(phi, s) for s in enumerate_proof_shapes(phi, 7)}
+
+    def test_matches_recombining_every_rule_every_round(self):
+        """On 400 seeded systems of up to 7 elements, the basis that
+        recombines only new masks equals the one that recombines all."""
+        rng = Random(7070)
+        for _ in range(400):
+            spec = InstanceSpec(rng.randint(1, 7), rng.randint(0, 12), rng.randint(0, 4))
+            phi = random_definition(rng, spec)
+            got = {frozenset(v.names()) for v in compactness_basis(phi)}
+            assert got == basis_by_full_rounds(phi), str(phi)
 
 
 @settings(max_examples=60)
