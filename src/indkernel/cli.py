@@ -20,7 +20,7 @@ deterministic; selftest's generators are seeded from INDKERNEL_SEED.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from pathlib import Path
@@ -40,41 +40,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     close = sub.add_parser("close", help="print the closure of the seed")
     close.add_argument("file")
-    close.set_defaults(handler=_cmd_close)
 
     prove = sub.add_parser("prove", help="derive the goal from the seed")
     prove.add_argument("file")
     prove.add_argument("--goal", help="overrides the file's goal line")
     prove.add_argument("--dot", metavar="PATH", help="also write the derivation as DOT")
     prove.add_argument("--json", action="store_true", help="print the derivation as JSON")
-    prove.set_defaults(handler=_cmd_prove)
 
     wit = sub.add_parser("witness", help="print a compact assumption set for the goal")
     wit.add_argument("file")
     wit.add_argument("--goal", help="overrides the file's goal line")
-    wit.set_defaults(handler=_cmd_witness)
 
     basis = sub.add_parser("basis", help="print all assumption sets derivations can have")
     basis.add_argument("file")
-    basis.set_defaults(handler=_cmd_basis)
 
     cover = sub.add_parser("cover", help="read rules as cover axioms and check a point")
     cover.add_argument("file")
     cover.add_argument("--point", required=True, help="the open to cover")
-    cover.set_defaults(handler=_cmd_cover)
 
     csq = sub.add_parser("check-square", help="covering and collection checks on a square")
     csq.add_argument("file")
     csq.add_argument("--bound", type=int, default=None)
-    csq.set_defaults(handler=_cmd_check_square)
 
     cfam = sub.add_parser("check-family", help="factorization checks on a family")
     cfam.add_argument("file")
     cfam.add_argument("--bound", type=int, default=None)
-    cfam.set_defaults(handler=_cmd_check_family)
 
-    st = sub.add_parser("selftest", help="run the randomized invariant suites")
-    st.set_defaults(handler=_cmd_selftest)
+    sub.add_parser("selftest", help="run the randomized invariant suites")
 
     return parser
 
@@ -108,7 +100,7 @@ def _cmd_prove(args) -> int:
     if args.dot:
         Path(args.dot).write_text(proofs.proof_to_dot(psig, proof))
     if args.json:
-        print(json.dumps(proofs.proof_to_json(psig, proof), indent=2))
+        print(jsonio.dumps(proofs.proof_to_json(psig, proof)))
     else:
         print(proofs.render_proof(psig, proof))
     return 0
@@ -157,7 +149,7 @@ def _cmd_check_square(args) -> int:
         "collection": collection,
         "holds": covering["holds"] and collection["holds"],
     }
-    print(json.dumps(report, indent=2))
+    print(jsonio.dumps(report))
     return 0 if report["holds"] else 1
 
 
@@ -171,7 +163,7 @@ def _cmd_check_family(args) -> int:
         report = {"kind": "family-report", "check": "indexed-refinement", **report}
     else:
         raise IndkernelError(f"{args.file} does not contain a family")
-    print(json.dumps(report, indent=2))
+    print(jsonio.dumps(report))
     return 0 if report["holds"] else 1
 
 
@@ -185,15 +177,23 @@ def _cmd_selftest(args) -> int:
     return selftest.run_selftest(seed)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later command;
+    each parse_args call fills a fresh Namespace."""
+    return build_parser()
+
+
 def run_command(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; keep its codes
         return int(exc.code or 0)
+    # looked up on each call, not stored in the shared parser
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except IndkernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,22 @@ Carrier-family documents (for the indexed refinement check):
 
 Malformed documents raise SchemaError; name-level problems surface as
 the usual carrier/map errors.
+
+dumps writes the CLI's JSON documents (proofs, square and family
+reports): byte for byte what json.dumps(obj, indent=2) writes, for
+str-keyed dicts, lists, tuples, str, int, bool and None, and a
+TypeError for anything else. It keeps the open containers on an
+explicit stack, so nesting depth is bounded by memory, not by the
+Python stack; strings go through the C escaper
+json.encoder.encode_basestring_ascii, and a container that holds only
+strings (a domain list, a map between element names) is written with
+one str.join.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import SchemaError
@@ -129,3 +140,67 @@ def load_instance(path: str | Path):
     if kind == "carrier-family":
         return carrier_family_from_json(data)
     raise SchemaError(f"{path}: unknown kind {kind!r}")
+
+
+def dumps(obj: object) -> str:
+    """obj as indent-2 JSON text, exactly as json.dumps(obj, indent=2)."""
+    chunks: list[str] = []
+    emit = chunks.append
+    newlines = ["\n"]  # newlines[k] breaks the line and indents to depth k
+    # one frame per open container: (entries, is_dict, first separator,
+    # separator, closing, id); the root frame holds obj alone
+    stack: list[tuple] = [(iter((obj,)), False, "", "", "", None)]
+    open_ids: set[int] = set()
+    fresh = True
+    while stack:
+        entries, is_dict, first, separator, closing, key = stack[-1]
+        sep = first if fresh else separator
+        fresh = False
+        for value in entries:
+            if is_dict:
+                emit(sep + _quote(value[0]) + ": ")
+                value = value[1]
+            else:
+                emit(sep)
+            sep = separator
+            if isinstance(value, str):
+                emit(_quote(value))
+            elif isinstance(value, (list, tuple, dict)):
+                d = isinstance(value, dict)
+                if not value:
+                    emit("{}" if d else "[]")
+                    continue
+                depth = len(stack)
+                if depth == len(newlines):
+                    newlines.append(newlines[-1] + "  ")
+                inner = newlines[depth]
+                end = newlines[depth - 1] + ("}" if d else "]")
+                if all(isinstance(v, str) for v in (value.values() if d else value)):
+                    if d:
+                        body = map(": ".join, zip(map(_quote, value), map(_quote, value.values())))
+                    else:
+                        body = map(_quote, value)
+                    emit(("{" if d else "[") + inner + ("," + inner).join(body) + end)
+                    continue
+                if id(value) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(value))
+                emit("{" if d else "[")
+                stack.append((iter(value.items() if d else value), d, inner, "," + inner, end, id(value)))
+                fresh = True
+                break
+            elif value is None:
+                emit("null")
+            elif value is True:
+                emit("true")
+            elif value is False:
+                emit("false")
+            elif isinstance(value, int):
+                emit(int.__repr__(value))
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        else:
+            stack.pop()
+            open_ids.discard(key)
+            emit(closing)
+    return "".join(chunks)

@@ -14,28 +14,33 @@ commuting (f o q = p o g). check_covering_square asks that p is onto
 and that D reaches every matched pair (b, c) with f(b) = p(c).
 check_collection_square asks, for every a and every surjection
 e: E ->> B_a with |E| up to a bound, for some c over a whose leg
-q|D_c factors through e. Surjections are enumerated up to renaming of
-E, which is sound because the condition never inspects E's element
-names. At finite scale a covering square always passes the collection
-check (pick any c over a and lift pointwise); the checker still runs
-the honest search so the quantifiers stay executable, and the reports
-record the witnesses it found.
+q|D_c factors through e. Surjections are taken up to renaming of E
+(one per tuple of fiber sizes, lexicographically), which is sound
+because the condition never inspects E's element names.
 
-The rest of the module covers families: is_amc_witness_family checks
-that every surjection onto a base is factored through by some member,
-is_collection_family checks the indexed variant where refining maps
-must come from the family itself, refines computes factorizations,
-and build_amc_square assembles the explicit square whose D is the
-disjoint union of the graphs of a chosen family of fiber covers.
-strong_amc_factor upgrades a witness family to the factor-through
-form: it pulls the first member back along the given surjection and
-refines the result inside the family.
+The reports decide in closed form and list their witnesses rather
+than search for them (tests/oracles.py keeps the searches, and the
+tests check every report against them). collection_report fails
+exactly at an a whose fiber fits the bound and has no c over it:
+commutation puts q(D_c) inside B_a, so the first c over a serves
+every e. amc_family_report (every surjection onto the base factors a
+member through it) holds exactly when the family has a member.
+collection_family_report (the indexed variant, refining maps taken
+from the family itself) always holds, since each carrier refines
+itself. A counterexample is always the first surjection, every fiber
+of size 1.
+
+refines computes least factorizations; build_amc_square assembles the
+explicit square whose D is the disjoint union of the graphs of a
+chosen family of fiber covers; strong_amc_factor upgrades a witness
+family to the factor-through form: it pulls the first member back
+along the given surjection and refines the result inside the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -44,9 +49,8 @@ from .errors import (
     InvalidSquare,
     NoFactorization,
     NotASurjection,
-    UnknownElement,
 )
-from .finite import Carrier, FinMap, Subset, compose, fiber, identity, image, is_surjection, pullback
+from .finite import Carrier, FinMap, compose, fiber, identity, image, is_surjection, pullback
 
 
 @dataclass(frozen=True)
@@ -150,135 +154,126 @@ def check_covering_square(sq: Square) -> bool:
     return covering_report(sq)["holds"]
 
 
-@lru_cache(maxsize=None)
-def _fiber_size_tuples(targets: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All (k_1 .. k_targets) with every k >= 1 and sum <= bound.
-
-    Each tuple is one surjection onto a fixed ordered target, up to
-    renaming of the (anonymous) domain; enumerated lexicographically.
-    """
-    if targets == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], slots_left: int, budget: int) -> None:
-        if slots_left == 0:
-            out.append(tuple(prefix))
+def _fiber_size_tuples(targets: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """All (k_1 .. k_targets) with every k >= 1 and sum <= bound, in
+    lexicographic order: the last entry grows first, and once the sum
+    reaches the bound, trailing entries fall back to 1 and the entry to
+    their left grows."""
+    if targets > bound:
+        return
+    sizes = [1] * targets
+    total = targets
+    while True:
+        yield tuple(sizes)
+        i = targets - 1
+        while i >= 0 and total == bound:
+            total -= sizes[i] - 1
+            sizes[i] = 1
+            i -= 1
+        if i < 0:
             return
-        for k in range(1, budget - (slots_left - 1) + 1):
-            prefix.append(k)
-            rec(prefix, slots_left - 1, budget - k)
-            prefix.pop()
-
-    rec([], targets, bound)
-    return tuple(out)
+        sizes[i] += 1
+        total += 1
 
 
 def surjections_onto(target: Carrier, bound: int, prefix: str = "e") -> Iterator[FinMap]:
-    """Canonical surjections E ->> target with |E| <= bound.
-
-    One representative per fiber-size tuple; domain elements are named
-    prefix0, prefix1, ... and assigned to targets in blocks.
-    """
+    """Canonical surjections E ->> target with |E| <= bound, one per
+    fiber-size tuple; E is prefix0, prefix1, ..., assigned in blocks."""
+    names = _names(prefix, bound)
     for sizes in _fiber_size_tuples(len(target), bound):
-        total = sum(sizes)
-        dom = Carrier(tuple(f"{prefix}{i}" for i in range(total)))
-        table: list[int] = []
-        for ti, k in enumerate(sizes):
-            table.extend([ti] * k)
-        yield FinMap(dom, target, tuple(table))
+        table = _blocks(range(len(target)), sizes)
+        yield FinMap(Carrier(tuple(names[: len(table)])), target, tuple(table))
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _blocks(targets: Sequence, sizes: tuple[int, ...]) -> list:
+    """The table of the canonical surjection with these fiber sizes:
+    each target repeated over its block of the domain."""
+    return list(chain.from_iterable(map(repeat, targets, sizes)))
+
+
+def _starts(sizes: tuple[int, ...]) -> list[int]:
+    """The first domain index of each block, then the domain size."""
+    return list(accumulate(sizes, initial=0))
 
 
 def default_square_bound(sq: Square) -> int:
     """Largest fiber of f, plus two."""
-    sizes = [len(fiber(sq.f, a)) for a in sq.A.names]
-    return (max(sizes) if sizes else 0) + 2
+    sizes = [0] * len(sq.A)
+    for ai in sq.f.table:
+        sizes[ai] += 1
+    return max(sizes, default=0) + 2
 
 
 def collection_report(sq: Square, bound: int | None = None, record: bool = False) -> dict:
     """For every a and every surjection e: E ->> B_a with |E| <= bound,
-    search for c over a and h: D_c -> E with e o h = q restricted to D_c.
+    is there a c over a and h: D_c -> E with e o h = q restricted to D_c?
 
-    Fibers larger than the bound admit no surjection within the budget
-    and are reported as skipped. Witnesses additionally note whether
-    q restricted to D_c is itself onto B_a, which the covering
-    condition implies but this check does not require.
+    The first c over a and h(d) = the first element of e's block over
+    q(d) serve every e. Fibers larger than the bound admit no surjection
+    within the budget and are reported as skipped. With record, each e
+    is listed with that c and h, and whether q restricted to D_c is
+    itself onto B_a, which the covering condition implies but this
+    check does not require.
     """
     if bound is None:
         bound = default_square_bound(sq)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    nA = len(sq.A)
-    f_fibers: list[list[int]] = [[] for _ in range(nA)]
+    f_fibers: list[list[int]] = [[] for _ in range(len(sq.A))]
     for bi, ai in enumerate(sq.f.table):
         f_fibers[ai].append(bi)
-    p_fibers: list[list[int]] = [[] for _ in range(nA)]
-    for ci, ai in enumerate(sq.p.table):
-        p_fibers[ai].append(ci)
-    d_by_c: list[list[int]] = [[] for _ in range(len(sq.C))]
-    for di, ci in enumerate(sq.g.table):
-        d_by_c[ci].append(di)
+    first_c: list[int | None] = [None] * len(sq.A)
+    for ci in range(len(sq.C) - 1, -1, -1):
+        first_c[sq.p.table[ci]] = ci
+    if record:
+        d_by_c: list[list[int]] = [[] for _ in range(len(sq.C))]
+        for di, ci in enumerate(sq.g.table):
+            d_by_c[ci].append(di)
+        e_names = _names("e", bound)
 
     witnesses: list[dict] = []
     skipped: list[dict] = []
     for ai, a in enumerate(sq.A.names):
         fiber_b = f_fibers[ai]
-        position = {bi: j for j, bi in enumerate(fiber_b)}
         if len(fiber_b) > bound:
             skipped.append({"a": a, "reason": f"fiber has {len(fiber_b)} elements, bound is {bound}"})
             continue
-        for sizes in _fiber_size_tuples(len(fiber_b), bound):
-            offsets: list[int] = []
-            acc = 0
-            for k in sizes:
-                offsets.append(acc)
-                acc += k
-            found: tuple[int, dict[int, int]] | None = None
-            for ci in p_fibers[ai]:
-                h: dict[int, int] = {}
-                ok = True
-                for di in d_by_c[ci]:
-                    j = position.get(sq.q.table[di])
-                    if j is None:  # cannot happen in a commuting square
-                        ok = False
-                        break
-                    h[di] = offsets[j]  # first element of e's fiber over q(d)
-                if ok:
-                    found = (ci, h)
-                    break
-            if found is None:
-                return {
-                    "holds": False,
-                    "bound": bound,
-                    "counterexample": {
-                        "a": a,
-                        "fiber": [sq.B.name(bi) for bi in fiber_b],
-                        "fiber_sizes": list(sizes),
-                        "domain_size": sum(sizes),
-                    },
-                    "witnesses": witnesses,
-                    "skipped": skipped,
-                }
-            if record:
-                ci, h = found
-                hit = {sq.q.table[di] for di in d_by_c[ci]}
+        ci = first_c[ai]
+        if ci is None:
+            return {
+                "holds": False,
+                "bound": bound,
+                "counterexample": {
+                    "a": a,
+                    "fiber": [sq.B.name(bi) for bi in fiber_b],
+                    "fiber_sizes": [1] * len(fiber_b),
+                    "domain_size": len(fiber_b),
+                },
+                "witnesses": witnesses,
+                "skipped": skipped,
+            }
+        if record:
+            position = {bi: j for j, bi in enumerate(fiber_b)}
+            blocks = [position[sq.q.table[di]] for di in d_by_c[ci]]
+            d_names = [sq.D.name(di) for di in d_by_c[ci]]
+            c = sq.C.name(ci)
+            onto = len(set(blocks)) == len(fiber_b)
+            for sizes in _fiber_size_tuples(len(fiber_b), bound):
+                starts = _starts(sizes)
                 witnesses.append(
                     {
                         "a": a,
                         "fiber_sizes": list(sizes),
-                        "c": sq.C.name(ci),
-                        "h": {sq.D.name(di): f"e{e}" for di, e in sorted(h.items())},
-                        "q_restriction_onto_fiber": hit == set(fiber_b),
+                        "c": c,
+                        "h": dict(zip(d_names, [e_names[starts[j]] for j in blocks])),
+                        "q_restriction_onto_fiber": onto,
                     }
                 )
-    return {
-        "holds": True,
-        "bound": bound,
-        "counterexample": None,
-        "witnesses": witnesses,
-        "skipped": skipped,
-    }
-
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses, "skipped": skipped}
 
 def check_collection_square(sq: Square, bound: int | None = None) -> bool:
     return collection_report(sq, bound)["holds"]
@@ -353,38 +348,35 @@ def default_family_bound(base_size: int) -> int:
 def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: bool = False) -> dict:
     """Does every surjection onto the base factor some member through it?
 
-    For each canonical surjection p: Y ->> base with |Y| <= bound, look
-    for an index i and f: Y_i -> Y with p o f = p_i.
+    For each canonical surjection p: Y ->> base with |Y| <= bound, is
+    there an index i and f: Y_i -> Y with p o f = p_i? Member 0 always
+    serves, with f(y) the first element of p's block over p_0(y).
     """
     if bound is None:
         bound = default_family_bound(len(fam.base))
     if bound < len(fam.base):
         raise ValueError("bound must be at least the size of the base")
+    base = fam.base.names
+    if not fam.members:
+        domain = _names("y", len(base))
+        return {
+            "holds": False,
+            "bound": bound,
+            "counterexample": {"domain": domain, "map": dict(zip(domain, base))},
+            "witnesses": [],
+        }
     witnesses: list[dict] = []
-    for p in surjections_onto(fam.base, bound, prefix="y"):
-        found: tuple[int, FinMap] | None = None
-        for i, member in enumerate(fam.members):
-            lift = refines(member, p)
-            if lift is not None:  # p is onto, so this never misses
-                found = (i, lift)
-                break
-        if found is None:
-            return {
-                "holds": False,
-                "bound": bound,
-                "counterexample": {
-                    "domain": list(p.dom.names),
-                    "map": p.to_mapping(),
-                },
-                "witnesses": witnesses,
-            }
-        if record:
-            i, lift = found
+    if record:
+        member = fam.members[0]
+        y_names = _names("y", bound)
+        for sizes in _fiber_size_tuples(len(base), bound):
+            starts = _starts(sizes)
+            domain = y_names[: starts[-1]]
             witnesses.append(
                 {
-                    "surjection": {"domain": list(p.dom.names), "map": p.to_mapping()},
-                    "member": i,
-                    "factor": lift.to_mapping(),
+                    "surjection": {"domain": domain, "map": dict(zip(domain, _blocks(base, sizes)))},
+                    "member": 0,
+                    "factor": dict(zip(member.dom.names, [y_names[starts[x]] for x in member.table])),
                 }
             )
     return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}
@@ -400,58 +392,37 @@ def collection_family_report(
     """Is every surjection onto any member refined from within the family?
 
     For each index i and canonical surjection p: E ->> Y_i with
-    |E| <= bound, look for i' and f: Y_{i'} -> E whose composite with p
-    is onto Y_i.
+    |E| <= bound, is there an i' and f: Y_{i'} -> E whose composite
+    with p is onto Y_i? Witnesses take the first i' with at least |Y_i|
+    elements (none when Y_i is empty), and f sends its k-th element to
+    the first element of p's block over the k-th element of Y_i, any
+    further element to e0.
     """
     if bound is None:
         bound = default_family_bound(max((len(y) for y in ys), default=0))
     if bound < 1:
         raise ValueError("bound must be at least 1")
     witnesses: list[dict] = []
-    for i, target in enumerate(ys):
-        if len(target) > bound:
-            continue  # no surjection within budget, vacuous
-        for p in surjections_onto(target, bound, prefix="e"):
-            found: tuple[int, FinMap] | None = None
-            for i2, source in enumerate(ys):
-                # p o f hits at most |source| targets, so smaller sources can't work
-                if len(source) < len(target):
-                    continue
-                if len(target) == 0:
-                    if len(source) > 0:
-                        continue
-                    f = FinMap(source, p.dom, ())
-                else:
-                    first_over = {}
-                    for ei in range(len(p.dom) - 1, -1, -1):
-                        first_over[p.table[ei]] = ei
-                    table = [
-                        first_over[k] if k < len(target) else 0
-                        for k in range(len(source))
-                    ]
-                    f = FinMap(source, p.dom, tuple(table))
-                if is_surjection(compose(p, f)):
-                    found = (i2, f)
-                    break
-            if found is None:
-                return {
-                    "holds": False,
-                    "bound": bound,
-                    "counterexample": {
-                        "index": i,
-                        "domain": list(p.dom.names),
-                        "map": p.to_mapping(),
-                    },
-                    "witnesses": witnesses,
-                }
-            if record:
-                i2, f = found
+    if record:
+        e_names = _names("e", bound)
+        refining: dict[int, int] = {}
+        for i, target in enumerate(ys):
+            n = len(target)
+            if n > bound:
+                continue  # no surjection within budget, vacuous
+            if n not in refining:
+                refining[n] = next(j for j, y in enumerate(ys) if (len(y) >= n if n else not len(y)))
+            source = ys[refining[n]]
+            rest = ["e0"] * (len(source) - n)
+            for sizes in _fiber_size_tuples(n, bound):
+                starts = _starts(sizes)
+                domain = e_names[: starts[-1]]
                 witnesses.append(
                     {
                         "index": i,
-                        "surjection": {"domain": list(p.dom.names), "map": p.to_mapping()},
-                        "refining_index": i2,
-                        "factor": f.to_mapping(),
+                        "surjection": {"domain": domain, "map": dict(zip(domain, _blocks(target.names, sizes)))},
+                        "refining_index": refining[n],
+                        "factor": dict(zip(source.names, [e_names[s] for s in starts[:n]] + rest)),
                     }
                 )
     return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}

@@ -3,11 +3,14 @@
 Everything here is deliberately brute force and shares no code with
 the engine paths it checks: proofs are enumerated as plain nested
 tuples, least fixed points are found by scanning all subsets,
-surjections are enumerated as raw tables and quotiented afterwards,
-subset members are read by scanning the whole carrier, rule-file
-lines are tokenized one character at a time and whole rule files are
-read from those tokens, and assumption sets are recombined from every
-rule in every round. Only usable at tiny sizes.
+surjections are enumerated as raw tables and quotiented afterwards
+(or, canonically, by filtering every tuple of fiber sizes), square
+and family conditions are decided by searching every canonical
+surjection for a witness, subset members are read by scanning the
+whole carrier, rule-file lines are tokenized one character at a time
+and whole rule files are read from those tokens, and assumption sets
+are recombined from every rule in every round. Only usable at tiny
+sizes.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from __future__ import annotations
 import re
 from itertools import product
 
-from indkernel.finite import Carrier, FinMap, Subset
+from indkernel.finite import Carrier, FinMap, Subset, compose, is_surjection
 from indkernel.inddef import InductiveDefinition
 from indkernel.proofs import ProofSignature
+from indkernel.squares import Square, SurjectionFamily
 from indkernel.wtree import WTree
 
 
@@ -110,6 +114,144 @@ def surjection_classes(domain_size: int, target: Carrier) -> set[tuple[int, ...]
         sizes = tuple(f.table.count(t) for t in range(len(target)))
         classes.add(sizes)
     return classes
+
+
+def fiber_size_tuples_by_product(targets: int, bound: int) -> list[tuple[int, ...]]:
+    """Every (k_1 .. k_targets) with each k >= 1 and sum <= bound, in
+    lexicographic order, by filtering the whole product of sizes."""
+    sizes = range(1, bound - targets + 2)
+    return [s for s in product(sizes, repeat=targets) if sum(s) <= bound]
+
+
+def canonical_surjections(target: Carrier, bound: int, prefix: str) -> list[FinMap]:
+    """One surjection onto target per fiber-size tuple, the domain
+    prefix0, prefix1, ... assigned to the targets in blocks."""
+    out = []
+    for sizes in fiber_size_tuples_by_product(len(target), bound):
+        table = tuple(t for t, k in enumerate(sizes) for _ in range(k))
+        dom = Carrier(tuple(f"{prefix}{i}" for i in range(len(table))))
+        out.append(FinMap(dom, target, table))
+    return out
+
+
+def least_lift(p: FinMap, q: FinMap) -> FinMap | None:
+    """f with q o f = p, sending each y to the first z with q(z) = p(y)."""
+    table = []
+    for t in p.table:
+        hits = [zi for zi, u in enumerate(q.table) if u == t]
+        if not hits:
+            return None
+        table.append(hits[0])
+    return FinMap(p.dom, q.dom, tuple(table))
+
+
+def collection_report_by_search(sq: Square, bound: int, record: bool = False) -> dict:
+    """The collection-square report by search: for every a and every
+    canonical surjection e onto B_a, try each c over a in turn for an h
+    with e o h = q on D_c, h(d) the first element of e's block over q(d)."""
+    witnesses: list[dict] = []
+    skipped: list[dict] = []
+    for a in sq.A.names:
+        fiber_b = [bi for bi, b in enumerate(sq.B.names) if sq.f(b) == a]
+        position = {bi: j for j, bi in enumerate(fiber_b)}
+        if len(fiber_b) > bound:
+            skipped.append({"a": a, "reason": f"fiber has {len(fiber_b)} elements, bound is {bound}"})
+            continue
+        cs = [ci for ci in range(len(sq.C)) if sq.p(sq.C.name(ci)) == a]
+        for e in canonical_surjections(Carrier(tuple(sq.B.name(bi) for bi in fiber_b)), bound, "e"):
+            sizes = [e.table.count(j) for j in range(len(fiber_b))]
+            found = None
+            for ci in cs:
+                h = {}
+                for di in range(len(sq.D)):
+                    if sq.g.table[di] != ci:
+                        continue
+                    j = position.get(sq.q.table[di])
+                    if j is None:
+                        break
+                    h[di] = e.table.index(j)
+                else:
+                    found = (ci, h)
+                    break
+            if found is None:
+                return {
+                    "holds": False,
+                    "bound": bound,
+                    "counterexample": {
+                        "a": a,
+                        "fiber": [sq.B.name(bi) for bi in fiber_b],
+                        "fiber_sizes": sizes,
+                        "domain_size": len(e.dom),
+                    },
+                    "witnesses": witnesses,
+                    "skipped": skipped,
+                }
+            if record:
+                ci, h = found
+                hit = {sq.q.table[di] for di in h}
+                witnesses.append(
+                    {
+                        "a": a,
+                        "fiber_sizes": sizes,
+                        "c": sq.C.name(ci),
+                        "h": {sq.D.name(di): e.dom.name(x) for di, x in h.items()},
+                        "q_restriction_onto_fiber": hit == set(fiber_b),
+                    }
+                )
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses, "skipped": skipped}
+
+
+def amc_family_report_by_search(fam: SurjectionFamily, bound: int, record: bool = False) -> dict:
+    """The every-surjection-factors report by search: for each
+    canonical p onto the base, the first member that lifts through p."""
+    witnesses: list[dict] = []
+    for p in canonical_surjections(fam.base, bound, "y"):
+        found = None
+        for i, member in enumerate(fam.members):
+            lift = least_lift(member, p)
+            if lift is not None:
+                found = (i, lift)
+                break
+        surjection = {"domain": list(p.dom.names), "map": p.to_mapping()}
+        if found is None:
+            return {"holds": False, "bound": bound, "counterexample": surjection, "witnesses": witnesses}
+        if record:
+            witnesses.append({"surjection": surjection, "member": found[0], "factor": found[1].to_mapping()})
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}
+
+
+def collection_family_report_by_search(ys: list[Carrier], bound: int, record: bool = False) -> dict:
+    """The indexed-refinement report by search: for each carrier Y_i and
+    canonical p onto it, the first Y_i' with an f whose composite with p
+    is onto Y_i, f sending the k-th element of Y_i' to the first element
+    of p's block over the k-th element of Y_i and the rest to e0."""
+    witnesses: list[dict] = []
+    for i, target in enumerate(ys):
+        if len(target) > bound:
+            continue
+        for p in canonical_surjections(target, bound, "e"):
+            found = None
+            for i2, source in enumerate(ys):
+                if len(source) < len(target) or (not len(target) and len(source)):
+                    continue
+                table = tuple(p.table.index(k) if k < len(target) else 0 for k in range(len(source)))
+                f = FinMap(source, p.dom, table)
+                if is_surjection(compose(p, f)):
+                    found = (i2, f)
+                    break
+            surjection = {"domain": list(p.dom.names), "map": p.to_mapping()}
+            if found is None:
+                return {
+                    "holds": False,
+                    "bound": bound,
+                    "counterexample": {"index": i, **surjection},
+                    "witnesses": witnesses,
+                }
+            if record:
+                witnesses.append(
+                    {"index": i, "surjection": surjection, "refining_index": found[0], "factor": found[1].to_mapping()}
+                )
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}
 
 
 def tree_nodes_by_recursion(tree: WTree) -> list[WTree]:

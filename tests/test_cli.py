@@ -8,6 +8,7 @@ import pytest
 from indkernel import cli
 from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, emit, parse_rule_file
+from indkernel.jsonio import dumps
 from indkernel.proofs import (
     build_proof_signature,
     is_proof,
@@ -21,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RULES = ROOT / "rules"
 INSTANCES = ROOT / "instances"
+CLI_GOLDEN = GOLDEN / "cli"
 
 
 def run(capsys, *argv):
@@ -215,6 +217,62 @@ class TestCheckFamily:
         code, _, err = run(capsys, "check-family", INSTANCES / "square_gap.json")
         assert code == 2
         assert "does not contain a family" in err
+
+
+# stdout of check-square / check-family on every instance, kept byte for
+# byte from the search-based checkers; the file names the bound
+INSTANCE_EXIT_CODES = {
+    "family_amc": 0,
+    "family_carriers": 0,
+    "family_empty": 1,
+    "square_gap": 1,
+    "square_pullback": 0,
+}
+
+
+class TestInstanceGoldens:
+    def test_every_instance_has_goldens(self):
+        assert {p.stem for p in INSTANCES.glob("*.json")} == set(INSTANCE_EXIT_CODES)
+
+    @pytest.mark.parametrize("bound", ["default", "6"])
+    @pytest.mark.parametrize("name", sorted(INSTANCE_EXIT_CODES))
+    def test_stdout_and_exit_code(self, name, bound, capsys):
+        command = "check-square" if name.startswith("square") else "check-family"
+        flags = [] if bound == "default" else ["--bound", bound]
+        code, out, err = run(capsys, command, INSTANCES / f"{name}.json", *flags)
+        assert (code, err) == (INSTANCE_EXIT_CODES[name], "")
+        assert out == (CLI_GOLDEN / f"{name}.{bound}.out").read_text()
+
+
+class TestSharedParser:
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_consecutive_commands_do_not_share_arguments(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_prove", lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "_cmd_check_family", lambda args: seen.append(vars(args)) or 0)
+        chain, family = str(GOLDEN / "chain.rules"), str(INSTANCES / "family_amc.json")
+        assert run_command(["prove", chain, "--goal", "b", "--json"]) == 0
+        assert run_command(["check-family", family, "--bound", "3"]) == 0
+        assert run_command(["prove", chain]) == 0
+        assert seen == [
+            {"command": "prove", "file": chain, "goal": "b", "dot": None, "json": True},
+            {"command": "check-family", "file": family, "bound": 3},
+            {"command": "prove", "file": chain, "goal": None, "dot": None, "json": False},
+        ]
+
+    def test_outputs_do_not_depend_on_the_command_before(self, capsys):
+        argvs = [
+            ("prove", GOLDEN / "chain.rules", "--goal", "b", "--json"),
+            ("check-family", INSTANCES / "family_amc.json", "--bound", "3"),
+            ("prove", GOLDEN / "chain.rules"),
+        ]
+        first = [run(capsys, *argv) for argv in argvs]
+        assert first[0] == (0, dumps({"kind": "rule", "rule": 0, "children": {"a": {"kind": "assume", "element": "a"}}}) + "\n", "")
+        assert json.loads(first[1][1])["bound"] == 3
+        assert first[2][1].startswith("c  [rule1")
+        assert [run(capsys, *argv) for argv in reversed(argvs)] == first[::-1]
 
 
 class TestSelftest:

@@ -1,12 +1,19 @@
 """The oracles in tests/oracles.py share no code with the engine paths
 they check: they import nothing from the parser and name none of the
-engine's private helpers."""
+engine's private helpers, nor its enumeration of surjections."""
 
 import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-ENGINE_INTERNALS = {"_staged_pass", "_derivation", "_premise_index", "_tokenize"}
+ENGINE_INTERNALS = {
+    "_staged_pass",
+    "_derivation",
+    "_premise_index",
+    "_tokenize",
+    "_fiber_size_tuples",
+    "surjections_onto",
+}
 
 
 def engine_ties(source: str) -> set[str]:
@@ -40,3 +47,5 @@ def test_the_guard_sees_each_kind_of_tie():
     assert engine_ties("x = phi._premise_index") == {"_premise_index"}
     assert engine_ties("getattr(m, '_derivation')") == {"_derivation"}
     assert engine_ties("def _tokenize(): pass") == {"_tokenize"}
+    assert engine_ties("from indkernel.squares import surjections_onto") == {"surjections_onto"}
+    assert engine_ties("squares._fiber_size_tuples(2, 4)") == {"_fiber_size_tuples"}

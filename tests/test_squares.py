@@ -20,9 +20,11 @@ from indkernel.gen import all_squares, named_carrier, random_square, random_surj
 from indkernel.squares import (
     Square,
     SurjectionFamily,
+    amc_family_report,
     build_amc_square,
     check_collection_square,
     check_covering_square,
+    collection_family_report,
     collection_report,
     covering_report,
     default_family_bound,
@@ -33,7 +35,14 @@ from indkernel.squares import (
     strong_amc_factor,
     surjections_onto,
 )
-from oracles import all_surjections, surjection_classes
+from oracles import (
+    all_surjections,
+    amc_family_report_by_search,
+    collection_family_report_by_search,
+    collection_report_by_search,
+    fiber_size_tuples_by_product,
+    surjection_classes,
+)
 
 A2 = Carrier.of("a0", "a1")
 B3 = Carrier.of("b0", "b1", "b2")
@@ -348,7 +357,69 @@ class TestExhaustiveSquares:
         assert len({(len(sq.A), len(sq.B), len(sq.C), len(sq.D), sq.f.table, sq.p.table, sq.g.table, sq.q.table) for sq in all_squares(2)}) == 249
 
 
+class TestReportsMatchTheSearch:
+    """The closed-form reports equal, field for field and witness for
+    witness, the reports of the search over every canonical surjection."""
+
+    def test_every_square_of_size_two(self):
+        for sq in all_squares(2):
+            for bound in range(1, 6):
+                for record in (False, True):
+                    assert collection_report(sq, bound, record) == collection_report_by_search(sq, bound, record)
+
+    def test_seeded_squares_of_size_three(self):
+        total = 74112  # squares with every corner of size at most 3
+        picks = set(Random(17).sample(range(total), 2000))
+        for k, sq in enumerate(all_squares(3)):
+            if k in picks:
+                for bound in range(1, 5):
+                    for record in (False, True):
+                        assert collection_report(sq, bound, record) == collection_report_by_search(sq, bound, record)
+        assert k + 1 == total
+
+    def test_random_surjection_families(self):
+        rng = Random(19)
+        for _ in range(150):
+            base = named_carrier(rng.randint(0, 3), "x")
+            if len(base):
+                members = tuple(random_surjection(rng, base, prefix=f"m{i}_") for i in range(rng.choice([0, 1, 2, 3])))
+            else:
+                members = (FinMap(Carrier(()), base, ()),) * rng.randint(0, 1)
+            fam = SurjectionFamily(base, members)
+            for bound in range(len(base), len(base) + 6):
+                for record in (False, True):
+                    assert amc_family_report(fam, bound, record) == amc_family_report_by_search(fam, bound, record)
+
+    def test_random_carrier_families(self):
+        rng = Random(23)
+        for _ in range(150):
+            ys = [named_carrier(rng.randint(0, 8), f"y{i}_") for i in range(rng.randint(0, 4))]
+            for bound in range(1, 8):
+                for record in (False, True):
+                    assert collection_family_report(ys, bound, record) == collection_family_report_by_search(ys, bound, record)
+
+    def test_verdicts_without_witnesses_at_large_bounds(self):
+        sq = pullback_square(F, P)
+        huge = 10**9
+        assert collection_report(sq, huge) == {
+            "holds": True, "bound": huge, "counterexample": None, "witnesses": [], "skipped": []
+        }
+        empty = amc_family_report(SurjectionFamily(A2, ()), huge)
+        assert empty["counterexample"] == {"domain": ["y0", "y1"], "map": {"y0": "a0", "y1": "a1"}}
+        assert collection_family_report([A2, B3], huge)["holds"]
+
+
 class TestSurjectionEnumeration:
+    def test_the_oracle_enumeration_is_the_union_of_surjection_classes(self):
+        for tsize in range(0, 4):
+            target = named_carrier(tsize, "t")
+            for bound in range(0, 6):
+                want = set()
+                for size in range(tsize, bound + 1):
+                    want |= surjection_classes(size, target)
+                got = fiber_size_tuples_by_product(tsize, bound)
+                assert got == sorted(want)
+
     def test_every_yield_is_a_canonical_surjection(self):
         target = Carrier.of("t0", "t1")
         for e in surjections_onto(target, 4):
