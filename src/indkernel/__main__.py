@@ -1,0 +1,6 @@
+"""python -m indkernel runs the command-line frontend."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -12,9 +12,11 @@ Subcommands:
     selftest                       run the randomized invariant suites
 
 Exit codes: 0 success / property holds, 1 unprovable / check fails,
-2 bad input (parse errors, schema errors, unknown flags), 3 internal
-error (any other exception, reported on one stderr line). Output is
-deterministic; selftest's generators are seeded from INDKERNEL_SEED.
+2 bad input (parse errors, schema errors, bounds below their minimum,
+files that are not UTF-8, unknown flags), 3 internal error (any other
+exception, reported on one stderr line). Output is deterministic;
+selftest's generators are seeded from INDKERNEL_SEED. Also runs as
+python -m indkernel.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(path: str):
-    ast = dsl.parse_rule_file(Path(path).read_text())
+    ast = dsl.parse_rule_file(jsonio.read_text(path))
     return dsl.definition_from_ast(ast)
 
 
@@ -125,7 +127,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    ast = dsl.parse_rule_file(Path(args.file).read_text())
+    ast = dsl.parse_rule_file(jsonio.read_text(args.file))
     cp, seed, _ = dsl.presentation_from_ast(ast)
     v = topology.compact_subcover(cp, args.point, seed)
     if v is None:
@@ -207,3 +209,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -58,6 +58,11 @@ class InvalidSquare(IndkernelError):
     """The four maps of a square do not commute."""
 
 
+class InvalidValue(IndkernelError, ValueError):
+    """A value is outside what an operation accepts: a search bound
+    below its minimum, or a file that is not UTF-8 text."""
+
+
 class SchemaError(IndkernelError):
     """A JSON document does not have the expected shape."""
 

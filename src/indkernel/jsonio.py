@@ -18,7 +18,8 @@ Carrier-family documents (for the indexed refinement check):
     {"kind": "carrier-family", "carriers": [[...], [...], ...]}
 
 Malformed documents raise SchemaError; name-level problems surface as
-the usual carrier/map errors.
+the usual carrier/map errors. read_text reads every input file, rule
+files too, and reports one that is not UTF-8 as InvalidValue.
 
 dumps writes the CLI's JSON documents (proofs, square and family
 reports): byte for byte what json.dumps(obj, indent=2) writes, for
@@ -37,7 +38,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import InvalidValue, SchemaError
 from .finite import Carrier, FinMap
 from .squares import Square, SurjectionFamily
 
@@ -122,10 +123,18 @@ def carrier_family_from_json(data: dict) -> list[Carrier]:
     return [_carrier(c, f"carrier {i}") for i, c in enumerate(carriers)]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_instance(path: str | Path):
     """Parse a JSON instance file into a Square, SurjectionFamily, or
     list of Carriers, according to its "kind"."""
-    text = Path(path).read_text()
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,12 +18,13 @@ compactness, made executable here:
     finite family that depends only on phi (compactness_basis).
 
 synthesize_proof, witness and characterize read the staged counting
-pass behind closure (inddef). They, the renderers and proof_from_json
-use explicit stacks, so proof depth is not bounded by the Python stack.
-The signature, the derivation search, the renderers and
-compactness_basis read each rule's premise indices from the
-definition; Subset is only the type of arguments and results. ass and
-is_proof visit each shared node of a proof once.
+pass behind closure (inddef); a synthesized proof shares one node per
+element. ass, is_proof and the JSON writer and reader visit each node
+object once (wtree.share_fold); render_proof and proof_to_dot write one
+line or node per tree position. No walk recurses. The signature, the
+derivation search, the renderers and compactness_basis read each
+rule's premise indices from the definition; Subset is only the type of
+arguments and results.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -40,7 +41,7 @@ from typing import Mapping
 from .errors import ArityMismatch, UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
-from .wtree import Signature, WTree, distinct_nodes, sup, validate
+from .wtree import Signature, WTree, _dot, distinct_nodes, share_fold, sup, validate
 
 RULE = "rule"
 ASSUME = "assume"
@@ -339,52 +340,44 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
 
 def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     """Schema: {"kind": "assume", "element": s} for leaves,
-    {"kind": "rule", "rule": i, "children": {premise: node}} otherwise."""
+    {"kind": "rule", "rule": i, "children": {premise: node}} otherwise.
+    A node the proof shares gives one shared dict; the document is ==
+    to the expanded one and serializes to the same text."""
     names = psig.phi.carrier.names
     premise_index = psig.phi._premise_index
-    root: dict = {}
-    stack = [(w, root)]
-    while stack:
-        node, out = stack.pop()
+
+    def children(node: WTree) -> tuple[WTree, ...]:
+        kind, payload = psig.kind_of(node.label)
+        return node.children[: len(premise_index[payload])] if kind == RULE else ()  # type: ignore[index]
+
+    def step(node: WTree, docs: list[dict]) -> dict:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
-            out.update(kind="assume", element=payload)
-            continue
-        children: dict[str, dict] = {}
-        out.update(kind="rule", rule=payload, children=children)
-        for b, child in zip(premise_index[payload], node.children):  # type: ignore[index]
-            children[names[b]] = child_out = {}
-            stack.append((child, child_out))
-    return root
+            return {"kind": "assume", "element": payload}
+        premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
+        return {"kind": "rule", "rule": payload, "children": dict(zip(premises, docs))}
+
+    return share_fold(w, step, children)
 
 
 def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
-    """The derivation a proof_to_json document describes.
+    """The derivation a proof_to_json document describes, each node
+    checked as a recursive reading would check it: its kind on the way
+    down, its rule application once its children are built. A dict the
+    document shares gives one shared node."""
 
-    Each node is checked as a recursive reading would check it: its
-    kind on the way down, its rule application once its children are
-    built. Iterative, so deep documents are fine.
-    """
-    built: list[WTree] = []
-    stack: list[tuple[dict, dict | None]] = [(data, None)]
-    while stack:
-        node, children = stack.pop()
-        if children is not None:  # every child is built: apply the rule
-            k = len(children)
-            trees = built[len(built) - k :]
-            del built[len(built) - k :]
-            built.append(psig.rule_app(int(node["rule"]), dict(zip(children, trees))))
-            continue
+    def children(node: dict) -> list[dict]:
         kind = node.get("kind")
-        if kind == "assume":
-            built.append(psig.assumption(node["element"]))
-        elif kind == "rule":
-            children = node.get("children", {})
-            stack.append((node, children))
-            stack.extend((child, None) for child in reversed(list(children.values())))
-        else:
+        if kind not in ("rule", "assume"):
             raise UnknownElement(f"unknown node kind {kind!r}")
-    return built[0]
+        return list(node.get("children", {}).values()) if kind == "rule" else []
+
+    def step(node: dict, trees: list[WTree]) -> WTree:
+        if node["kind"] == "assume":
+            return psig.assumption(node["element"])
+        return psig.rule_app(int(node["rule"]), dict(zip(node.get("children", {}), trees)))
+
+    return share_fold(data, step, children)
 
 
 def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
@@ -392,27 +385,16 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     assumption leaves drawn as boxes."""
     names = psig.phi.carrier.names
     premise_index = psig.phi._premise_index
-    nodes: list[str] = []
-    edges: list[str] = []
-    stack: list[tuple[WTree, int | None, str | None]] = [(w, None, None)]
-    count = 0
-    while stack:
-        node, parent, via = stack.pop()
-        me = count
-        count += 1
+
+    def describe(node: WTree) -> tuple[str, str, list[tuple[str, WTree]]]:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
-            nodes.append(f'  n{me} [shape=box, label="{_esc(str(payload))}"];')
-        else:
-            text = f"{node.label} => {conc(psig, node)}"
-            nodes.append(f'  n{me} [label="{_esc(text)}"];')
-        if parent is not None:
-            edges.append(f'  n{parent} -> n{me} [label="{_esc(str(via))}"];')
-        if kind == RULE:
-            premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
-            for premise, child in reversed(list(zip(premises, node.children))):
-                stack.append((child, me, premise))
-    return "\n".join(["digraph proof {", *nodes, *edges, "}"]) + "\n"
+            return "shape=box, ", payload, []  # type: ignore[return-value]
+        premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
+        conclusion = psig.phi.rules[payload].conclusion  # type: ignore[index]
+        return "", f"{node.label} => {conclusion}", list(zip(premises, node.children))
+
+    return _dot("proof", w, describe)
 
 
 def render_proof(psig: ProofSignature, w: WTree, indent: str = "") -> str:
@@ -437,6 +419,3 @@ def render_proof(psig: ProofSignature, w: WTree, indent: str = "") -> str:
             stack.append((child, pad))
     return "\n".join(lines)
 
-
-def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')

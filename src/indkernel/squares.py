@@ -47,6 +47,7 @@ from .errors import (
     CodomainMismatch,
     EmptyFamily,
     InvalidSquare,
+    InvalidValue,
     NoFactorization,
     NotASurjection,
 )
@@ -222,7 +223,7 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
     if bound is None:
         bound = default_square_bound(sq)
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise InvalidValue("bound must be at least 1")
     f_fibers: list[list[int]] = [[] for _ in range(len(sq.A))]
     for bi, ai in enumerate(sq.f.table):
         f_fibers[ai].append(bi)
@@ -355,7 +356,7 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
     if bound is None:
         bound = default_family_bound(len(fam.base))
     if bound < len(fam.base):
-        raise ValueError("bound must be at least the size of the base")
+        raise InvalidValue("bound must be at least the size of the base")
     base = fam.base.names
     if not fam.members:
         domain = _names("y", len(base))
@@ -401,7 +402,7 @@ def collection_family_report(
     if bound is None:
         bound = default_family_bound(max((len(y) for y in ys), default=0))
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise InvalidValue("bound must be at least 1")
     witnesses: list[dict] = []
     if record:
         e_names = _names("e", bound)

@@ -9,18 +9,25 @@ trees at all.
 Slot names must be globally distinct across labels so that a slot name
 alone identifies its position; consumers such as the derivation engine
 rely on this to attach meaning to slots without parsing names.
+
+A node object may have several parents. fold, subtrees and the DOT
+writer give one result per tree position; share_fold, behind
+distinct_nodes, depth, node_count and the JSON writer and reader,
+visits each node object once. No walk recurses.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from random import Random
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ArityMismatch, DuplicateName, EmptyWType, UnknownElement
 from .finite import Carrier
 
+N = TypeVar("N")
 R = TypeVar("R")
 
 
@@ -84,15 +91,35 @@ def sup(sig: Signature, label: str, children: Mapping[str, WTree]) -> WTree:
     return WTree(label, tuple(children[s] for s in slots.names))
 
 
-def _check_node(sig: Signature, node: WTree) -> None:
+def _checked_children(sig: Signature, node: WTree) -> tuple[WTree, ...]:
     slots = sig.arity(node.label)  # raises UnknownElement for foreign labels
     if len(node.children) != len(slots):
         raise ArityMismatch(
             f"node {node.label!r} has {len(node.children)} children, expects {len(slots)}"
         )
+    return node.children
 
 
-_POST = object()
+def share_fold(
+    root: N, step: Callable[[N, list[R]], R], children: Callable[[N], Sequence[N]] = attrgetter("children")
+) -> R:
+    """step(x, results of x's children) once per node object x, by
+    identity, children first, so a shared node is folded once.
+    children(x), whose nodes must live as long as root, is called once
+    per node in preorder of first occurrence: a check it makes fires
+    where a positional walk would fire it first."""
+    done: dict[int, R] = {}
+    stack: list[tuple[N, Sequence[N] | None]] = [(root, None)]
+    while stack:
+        x, kids = stack.pop()
+        if kids is not None:  # every child is done
+            done[id(x)] = step(x, [done[id(c)] for c in kids])
+        elif id(x) not in done:
+            kids = children(x)
+            stack.append((x, kids))
+            for c in reversed(kids):
+                stack.append((c, None))
+    return done[id(root)]
 
 
 def fold(sig: Signature, tree: WTree, step: Callable[[str, dict[str, R]], R]) -> R:
@@ -100,26 +127,21 @@ def fold(sig: Signature, tree: WTree, step: Callable[[str, dict[str, R]], R]) ->
 
     step receives the node label and a dict mapping slot names to the
     results already computed for the children. It is called exactly
-    once per node, bottom-up. Iterative, so deep chains are fine.
+    once per tree position, bottom-up: a shared node once per position.
     """
-    stack: list[object] = [tree]
+    stack = [(tree, False)]
     results: list[R] = []
     while stack:
-        item = stack.pop()
-        if isinstance(item, WTree):
-            _check_node(sig, item)
-            stack.append((_POST, item))
-            stack.extend(reversed(item.children))
-        else:
-            node = item[1]  # type: ignore[index]
-            k = len(node.children)
-            if k:
-                child_results = results[-k:]
-                del results[-k:]
-            else:
-                child_results = []
+        node, ready = stack.pop()
+        if ready:  # its children's results are the last ones
+            k = len(results) - len(node.children)
+            child_results = results[k:]
+            del results[k:]
             slots = sig.arity(node.label).names
             results.append(step(node.label, dict(zip(slots, child_results))))
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_checked_children(sig, node)))
     return results[0]
 
 
@@ -139,52 +161,26 @@ def subtrees(tree: WTree) -> list[WTree]:
 
 
 def distinct_nodes(tree: WTree) -> list[WTree]:
-    """Each node object of the tree once, by identity, children first.
-
-    A derivation may share one subtree object among several parents;
-    walking the objects instead of the positions keeps every traversal
-    built on this linear in the size of the shared form.
-    """
-    done: set[int] = set()
+    """Each node object of the tree once, by identity, children first."""
     out: list[WTree] = []
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in done]
-        if pending:
-            stack.extend(reversed(pending))
-        else:
-            stack.pop()
-            done.add(id(node))
-            out.append(node)
+    share_fold(tree, lambda node, _: out.append(node))
     return out
 
 
 def node_count(tree: WTree) -> int:
     """The number of tree positions, shared nodes counted once per position."""
-    size: dict[int, int] = {}
-    for node in distinct_nodes(tree):
-        size[id(node)] = 1 + sum(size[id(c)] for c in node.children)
-    return size[id(tree)]
+    return share_fold(tree, lambda _, sizes: 1 + sum(sizes))
 
 
 def depth(tree: WTree) -> int:
     """Height of the tree; a leaf has depth 1."""
-    height: dict[int, int] = {}
-    for node in distinct_nodes(tree):
-        height[id(node)] = 1 + max((height[id(c)] for c in node.children), default=0)
-    return height[id(tree)]
+    return share_fold(tree, lambda _, heights: 1 + max(heights, default=0))
 
 
 def validate(sig: Signature, tree: WTree) -> bool:
     """True when every node's label exists and its child count matches."""
     for node in distinct_nodes(tree):
-        if node.label not in sig.labels:
-            return False
-        if len(node.children) != len(sig.arity(node.label)):
+        if node.label not in sig.labels or len(node.children) != len(sig.arity(node.label)):
             return False
     return True
 
@@ -223,59 +219,53 @@ def signature_from_json(data: dict) -> Signature:
 
 
 def tree_to_json(sig: Signature, tree: WTree) -> dict:
-    """{"label": l, "children": {slot: child}}, nodes checked in preorder."""
-    root: dict = {}
-    stack = [(tree, root)]
-    while stack:
-        node, out = stack.pop()
-        _check_node(sig, node)
-        children: dict[str, dict] = {}
-        out.update(label=node.label, children=children)
-        pending = []
-        for slot, child in zip(sig.arity(node.label).names, node.children):
-            children[slot] = child_out = {}
-            pending.append((child, child_out))
-        stack.extend(reversed(pending))
-    return root
+    """{"label": l, "children": {slot: child}}, nodes checked in preorder.
+    A node the tree shares gives one shared dict; the document is == to
+    the expanded one and serializes to the same text."""
+
+    def step(node: WTree, children: list[dict]) -> dict:
+        return {"label": node.label, "children": dict(zip(sig.arity(node.label).names, children))}
+
+    return share_fold(tree, step, partial(_checked_children, sig))
 
 
 def tree_from_json(sig: Signature, data: dict) -> WTree:
     """The tree a tree_to_json document describes; each node is built
-    with sup once its children are, as a recursive reading would."""
-    built: list[WTree] = []
-    stack: list[tuple] = [(data, None)]  # (node, None), then (label, children)
-    while stack:
-        item, children = stack.pop()
-        if children is not None:  # every child is built
-            k = len(children)
-            trees = built[len(built) - k :]
-            del built[len(built) - k :]
-            built.append(sup(sig, item, dict(zip(children, trees))))
-            continue
-        label = item["label"]
-        children = item.get("children", {})
-        stack.append((label, children))
-        stack.extend((child, None) for child in reversed(list(children.values())))
-    return built[0]
+    with sup once its children are, as a recursive reading would. A
+    dict the document shares gives one shared node."""
+
+    def children(node: dict) -> list[dict]:
+        node["label"]  # a node without a label fails before its children
+        return list(node.get("children", {}).values())
+
+    def step(node: dict, trees: list[WTree]) -> WTree:
+        return sup(sig, node["label"], dict(zip(node.get("children", {}), trees)))
+
+    return share_fold(data, step, children)
 
 
 def tree_to_dot(sig: Signature, tree: WTree) -> str:
     """Graphviz rendering with stable preorder node ids."""
+    return _dot("wtree", tree, lambda n: ("", n.label, list(zip(sig.arity(n.label).names, n.children))))
+
+
+def _dot(name: str, root: WTree, describe: Callable[[WTree], tuple[str, str, list[tuple[str, WTree]]]]) -> str:
+    """A Graphviz digraph with one node per tree position, numbered in
+    preorder. describe(node) gives the node's attributes before its
+    label, its label text, and its (edge label, child) pairs in order."""
     nodes: list[str] = []
     edges: list[str] = []
-    stack: list[tuple[WTree, int | None, str | None]] = [(tree, None, None)]
-    count = 0
+    stack: list[tuple[WTree, int | None, str]] = [(root, None, "")]
     while stack:
-        node, parent, slot = stack.pop()
-        me = count
-        count += 1
-        nodes.append(f'  n{me} [label="{_dot_escape(node.label)}"];')
+        node, parent, via = stack.pop()
+        me = len(nodes)
+        attrs, text, out = describe(node)
+        nodes.append(f'  n{me} [{attrs}label="{_dot_escape(text)}"];')
         if parent is not None:
-            edges.append(f'  n{parent} -> n{me} [label="{_dot_escape(str(slot))}"];')
-        slots = sig.arity(node.label).names
-        for s, c in reversed(list(zip(slots, node.children))):
-            stack.append((c, me, s))
-    return "\n".join(["digraph wtree {", *nodes, *edges, "}"]) + "\n"
+            edges.append(f'  n{parent} -> n{me} [label="{_dot_escape(via)}"];')
+        for edge, child in reversed(out):
+            stack.append((child, me, edge))
+    return "\n".join([f"digraph {name} {{", *nodes, *edges, "}"]) + "\n"
 
 
 def _dot_escape(text: str) -> str:
@@ -288,6 +278,7 @@ __all__ = [
     "sup",
     "fold",
     "subtrees",
+    "share_fold",
     "distinct_nodes",
     "node_count",
     "depth",

@@ -8,9 +8,9 @@ surjections are enumerated as raw tables and quotiented afterwards
 and family conditions are decided by searching every canonical
 surjection for a witness, subset members are read by scanning the
 whole carrier, rule-file lines are tokenized one character at a time
-and whole rule files are read from those tokens, and assumption sets
-are recombined from every rule in every round. Only usable at tiny
-sizes.
+and whole rule files are read from those tokens, assumption sets are
+recombined from every rule in every round, and trees are folded by
+plain recursion over every position. Only usable at tiny sizes.
 """
 
 from __future__ import annotations
@@ -260,6 +260,12 @@ def tree_nodes_by_recursion(tree: WTree) -> list[WTree]:
     for child in tree.children:
         out.extend(tree_nodes_by_recursion(child))
     return out
+
+
+def fold_by_recursion(tree: WTree, step):
+    """step(node, results of its children) at every tree position, by
+    plain recursion, so a shared node is folded once per position."""
+    return step(tree, [fold_by_recursion(child, step) for child in tree.children])
 
 
 def tree_depth_by_recursion(tree: WTree) -> int:

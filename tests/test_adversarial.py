@@ -1,4 +1,6 @@
 """The adversarial corpus: a chain of 2000 and a ladder of 30 rungs.
+The corpus also holds not_utf8.rules and not_utf8.json, each with a
+0xff byte; tests/test_cli.py reads them.
 
 chain2000.rules derives c1999 from c0 through 1999 stages, deeper than
 the Python stack allows recursion to go, so its proofs are compared by
@@ -132,6 +134,21 @@ class TestLadder30:
         got = measure(psig, proof)  # named, so a failure never prints the expanded proof
         assert got == expected
         assert time.perf_counter() - start < 1.0
+
+    def test_proof_json_reads_back_shared(self):
+        """The document shares a dict wherever the proof shares a node, so
+        writing and reading it back visit 59 nodes, not 2**30 - 1."""
+        phi, seed, goal = load(LADDER)
+        proof = synthesize_proof(phi, seed, goal)
+        psig = build_proof_signature(phi)
+        start = time.perf_counter()
+        back = proof_from_json(psig, proof_to_json(psig, proof))
+        assert time.perf_counter() - start < 1.0
+        count, size = len(distinct_nodes(back)), node_count(back)
+        assert count == 2 * 30 - 1
+        assert size == 2**30 - 1
+        assert ass(psig, back).names() == ("x0", "y0")
+        assert is_proof(psig, back)
 
     def test_cli_witness(self, capsys):
         assert run_command(["witness", str(LADDER)]) == 0

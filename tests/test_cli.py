@@ -1,6 +1,9 @@
 """End-to-end command tests: outputs, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RULES = ROOT / "rules"
 INSTANCES = ROOT / "instances"
 CLI_GOLDEN = GOLDEN / "cli"
+ADVERSARIAL = Path(__file__).resolve().parent / "adversarial"
 
 
 def run(capsys, *argv):
@@ -310,6 +314,35 @@ class TestInputErrors:
         code, _, err = run(capsys, "check-square", bad)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, name, message",
+        [
+            ("check-square", "square_gap.json", "bound must be at least 1"),
+            ("check-family", "family_amc.json", "bound must be at least the size of the base"),
+            ("check-family", "family_carriers.json", "bound must be at least 1"),
+        ],
+    )
+    def test_bound_below_its_minimum(self, command, name, message, capsys):
+        code, out, err = run(capsys, command, INSTANCES / name, "--bound", "0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["close"], "not_utf8.rules"),
+            (["prove"], "not_utf8.rules"),
+            (["cover", "--point", "a"], "not_utf8.rules"),
+            (["check-square"], "not_utf8.json"),
+            (["check-family"], "not_utf8.json"),
+        ],
+        ids=["close", "prove", "cover", "check-square", "check-family"],
+    )
+    def test_file_that_is_not_utf8(self, argv, name, capsys):
+        path = ADVERSARIAL / name
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "close", GOLDEN / "chain.rules", "--frobnicate")
         assert code == 2
@@ -332,6 +365,24 @@ class TestInputErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+class TestModuleEntryPoints:
+    """python -m indkernel.cli and python -m indkernel run the CLI."""
+
+    def python_m(self, *argv):
+        src = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    def test_cli_module(self):
+        done = self.python_m("indkernel.cli", "prove", str(GOLDEN / "unprovable.rules"))
+        assert (done.returncode, done.stdout) == (1, "unprovable\n")
+
+    def test_package_without_a_command_is_bad_usage(self):
+        done = self.python_m("indkernel")
+        assert done.returncode == 2
+        assert "required: command" in done.stderr
 
 
 class TestGoldenCorpus:

@@ -91,6 +91,17 @@ def test_every_proof_of_the_bundled_rule_files(path, capsys):
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
+def test_ladder_8_proof_with_shared_dicts():
+    """The proof document shares one dict per shared subproof; each of its
+    255 positions is still written in full."""
+    text = "set " + " ".join(f"x{k} y{k}" for k in range(8)) + "\n"
+    text += "".join(f"rule x{k} y{k} -> x{k + 1}\nrule x{k} y{k} -> y{k + 1}\n" for k in range(7))
+    phi, seed, goal = definition_from_ast(parse_rule_file(text + "seed x0 y0\ngoal x7\n"))
+    doc = proof_to_json(build_proof_signature(phi), synthesize_proof(phi, seed, goal))
+    assert doc["children"]["x6"]["children"]["x5"] is doc["children"]["y6"]["children"]["x5"]
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
 def test_chain_300_proof():
     n = 300
     text = "set " + " ".join(f"c{i}" for i in range(n)) + "\n"

@@ -1,6 +1,7 @@
 """The oracles in tests/oracles.py share no code with the engine paths
 they check: they import nothing from the parser and name none of the
-engine's private helpers, nor its enumeration of surjections."""
+engine's private helpers, nor its enumeration of surjections, nor its
+tree folds."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,9 @@ ENGINE_INTERNALS = {
     "_tokenize",
     "_fiber_size_tuples",
     "surjections_onto",
+    "share_fold",
+    "distinct_nodes",
+    "fold",
 }
 
 
@@ -49,3 +53,6 @@ def test_the_guard_sees_each_kind_of_tie():
     assert engine_ties("def _tokenize(): pass") == {"_tokenize"}
     assert engine_ties("from indkernel.squares import surjections_onto") == {"surjections_onto"}
     assert engine_ties("squares._fiber_size_tuples(2, 4)") == {"_fiber_size_tuples"}
+    assert engine_ties("from indkernel.wtree import share_fold") == {"share_fold"}
+    assert engine_ties("wtree.distinct_nodes(t)") == {"distinct_nodes"}
+    assert engine_ties("fold(sig, t, step)") == {"fold"}

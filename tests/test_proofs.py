@@ -470,6 +470,33 @@ def test_proof_json_round_trip(case):
         assert proof_from_json(psig, data) == w
 
 
+PAIR = defn(ABC, (["a", "b"], "c"), (["a"], "b"))
+BOGUS = {"kind": "bogus"}
+ZZ = {"kind": "assume", "element": "zz"}
+SHORT = {"kind": "rule", "rule": 1, "children": {}}
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"kind": "rule", "rule": 0, "children": {"a": BOGUS, "b": ZZ}}, UnknownElement, "unknown node kind 'bogus'"),
+        ({"kind": "rule", "rule": 0, "children": {"a": ZZ, "b": BOGUS}}, UnknownElement,
+         "'zz' is not an element of {a, b, c}"),
+        ({"kind": "rule", "rule": 0, "children": {"a": SHORT, "b": BOGUS}}, ArityMismatch,
+         "rule 1: missing premises ['a']"),
+        ({"kind": "rule", "rule": 0, "children": {"a": BOGUS}}, UnknownElement, "unknown node kind 'bogus'"),
+        ({"kind": "rul", "rule": 0, "children": {"a": ZZ}}, UnknownElement, "unknown node kind 'rul'"),
+    ],
+    ids=["kind-then-element", "element-then-kind", "rule-then-kind", "child-then-rule", "kind-then-child"],
+)
+def test_proof_from_json_reports_the_first_of_two_faults(doc, error, message):
+    """Kinds are checked on the way down, rule applications once the
+    children are built, in depth-first order."""
+    with pytest.raises(error) as caught:
+        proof_from_json(build_proof_signature(PAIR), doc)
+    assert str(caught.value) == message
+
+
 class TestRendering:
     def test_text_rendering_of_the_chain_proof(self):
         psig = build_proof_signature(CHAIN)

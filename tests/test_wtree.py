@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.errors import ArityMismatch, DuplicateName, EmptyWType, UnknownElement
+from indkernel.proofs import synthesize_proof
 from indkernel.wtree import (
     Signature,
     WTree,
@@ -15,6 +17,7 @@ from indkernel.wtree import (
     fold,
     node_count,
     random_tree,
+    share_fold,
     signature_from_json,
     signature_to_json,
     subtrees,
@@ -24,7 +27,7 @@ from indkernel.wtree import (
     tree_to_json,
     validate,
 )
-from oracles import tree_depth_by_recursion, tree_nodes_by_recursion
+from oracles import fold_by_recursion, tree_depth_by_recursion, tree_nodes_by_recursion
 
 BINARY = Signature.of({"leaf": (), "node": ("lft", "rgt")})
 UNARY = Signature.of({"b": (), "a": ("s0",)})
@@ -104,6 +107,54 @@ class TestFold:
         for _ in range(5000):
             t = sup(UNARY, "a", {"s0": t})
         assert fold(UNARY, t, lambda l, kids: 1 + sum(kids.values())) == 5001
+
+
+def ladder_proof(rungs):
+    """The proof of x_{rungs-1} from {x0, y0} when both x_{k+1} and y_{k+1}
+    follow from {x_k, y_k}: 2 * rungs - 1 nodes, 2 ** rungs - 1 positions."""
+    text = "set " + " ".join(f"x{k} y{k}" for k in range(rungs)) + "\n"
+    text += "".join(f"rule x{k} y{k} -> x{k + 1}\nrule x{k} y{k} -> y{k + 1}\n" for k in range(rungs - 1))
+    phi, seed, goal = definition_from_ast(parse_rule_file(text + f"seed x0 y0\ngoal x{rungs - 1}\n"))
+    return synthesize_proof(phi, seed, goal)
+
+
+PURE_STEPS = {
+    "size": lambda node, sizes: 1 + sum(sizes),
+    "height": lambda node, heights: 1 + max(heights, default=0),
+    "shape": lambda node, shapes: (node.label, tuple(shapes)),
+}
+
+
+@pytest.mark.parametrize("step", PURE_STEPS.values(), ids=PURE_STEPS)
+class TestShareFold:
+    """With a pure step, folding each node object once gives what folding
+    every tree position gives."""
+
+    def test_random_trees(self, step):
+        rng = Random(17)
+        for _ in range(200):
+            sig = _random_sig(rng)
+            t = random_tree(sig, rng)
+            assert share_fold(t, step) == fold_by_recursion(t, step)
+
+    def test_shared_dags(self, step):
+        for levels in range(1, 11):
+            t = complete(BINARY, levels)
+            assert share_fold(t, step) == fold_by_recursion(t, step)
+        for rungs in range(1, 9):
+            proof = ladder_proof(rungs)
+            assert share_fold(proof, step) == fold_by_recursion(proof, step)
+
+
+def test_share_fold_asks_each_node_object_once():
+    """children runs in preorder of first occurrence, step children first."""
+    leaf = sup(BINARY, "leaf", {})
+    shared = sup(BINARY, "node", {"lft": leaf, "rgt": leaf})
+    t = sup(BINARY, "node", {"lft": leaf, "rgt": sup(BINARY, "node", {"lft": shared, "rgt": shared})})
+    asked, folded = [], []
+    share_fold(t, lambda node, _: folded.append(id(node)), lambda node: asked.append(id(node)) or node.children)
+    assert asked == list(dict.fromkeys(id(n) for n in tree_nodes_by_recursion(t)))
+    assert folded == [id(leaf), id(shared), id(t.children[1]), id(t)]
 
 
 class TestSubtrees:
@@ -196,6 +247,32 @@ class TestSerialization:
             sig = _random_sig(rng)
             t = random_tree(sig, rng)
             assert tree_from_json(sig, tree_to_json(sig, t)) == t
+
+    def test_shared_nodes_give_shared_dicts_and_back(self):
+        t = complete(BINARY, 20)
+        doc = tree_to_json(BINARY, t)
+        assert doc["children"]["lft"] is doc["children"]["rgt"]
+        back = tree_from_json(BINARY, doc)
+        assert back.children[0] is back.children[1]
+        assert node_count(back) == 2**20 - 1 and len(distinct_nodes(back)) == 20
+
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            ({"label": "node", "children": {"lft": {"label": "zz"}, "rgt": {"label": "node", "children": {}}}},
+             UnknownElement, "'zz' is not an element of {leaf, node}"),
+            ({"label": "node", "children": {"lft": {"label": "node", "children": {}}, "rgt": {"label": "zz"}}},
+             ArityMismatch, "node 'node': missing slots ['lft', 'rgt']"),
+            ({"label": "node", "children": {"lft": {"children": {"lft": {"label": "zz"}}}}}, KeyError, "'label'"),
+            ({"label": "node", "children": {"lft": {"label": "zz"}}}, UnknownElement,
+             "'zz' is not an element of {leaf, node}"),
+        ],
+        ids=["unknown-label-first", "missing-slots-first", "no-label-first", "child-before-parent"],
+    )
+    def test_first_of_two_faults_in_depth_first_order(self, doc, error, message):
+        with pytest.raises(error) as caught:
+            tree_from_json(BINARY, doc)
+        assert str(caught.value) == message
 
     def test_dot_is_stable_and_names_slots(self):
         t = sup(UNARY, "a", {"s0": sup(UNARY, "b", {})})
