@@ -2,7 +2,10 @@
 
 Everything downstream (rule systems, tree signatures, square checkers)
 is phrased over these three types. All values are immutable after
-construction and therefore safe to share and hash.
+construction and therefore safe to share and hash. Every question
+about which domain elements lie over which codomain element (image,
+fiber, missed, is_surjection, pullback, and the square and family
+checks) reads a map's one preimage table, FinMap._fibers.
 
 Elements are referred to by name at the API surface; indices are an
 internal representation detail. The order in which names were declared
@@ -13,6 +16,7 @@ canonical order of derived constructions such as pullbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CodomainMismatch, DuplicateName, UnknownElement
@@ -150,9 +154,6 @@ class Subset:
         self._check_same(other)
         return Subset(self.of, self.bits & ~other.bits)
 
-    def complement(self) -> "Subset":
-        return Subset.full(self.of) - self
-
     def __str__(self) -> str:
         return "{" + ", ".join(self.names()) + "}"
 
@@ -162,7 +163,10 @@ class FinMap:
     """A total map between carriers, tabulated by element index.
 
     table[i] is the codomain index of the image of the i-th domain
-    element. Use from_mapping to build one from names.
+    element. Use from_mapping to build one from names. The preimage
+    table _fibers[j] lists the domain indices over codomain index j, in
+    domain order; it is built from table on first use and kept, and is
+    not a field, so equality, hashing, repr and pickles ignore it.
     """
 
     dom: Carrier
@@ -192,11 +196,19 @@ class FinMap:
             dom.index(name)  # reject stray keys
         return cls(dom, cod, tuple(table))
 
+    def __getstate__(self) -> dict:
+        # the fields only: a pickle never carries the preimage table
+        return {"dom": self.dom, "cod": self.cod, "table": self.table}
+
+    @cached_property
+    def _fibers(self) -> tuple[tuple[int, ...], ...]:
+        fibers: list[list[int]] = [[] for _ in self.cod.names]
+        for i, t in enumerate(self.table):
+            fibers[t].append(i)
+        return tuple(map(tuple, fibers))
+
     def __call__(self, name: str) -> str:
         return self.cod.names[self.table[self.dom.index(name)]]
-
-    def apply_index(self, i: int) -> int:
-        return self.table[i]
 
     def to_mapping(self) -> dict[str, str]:
         return {b: self.cod.names[t] for b, t in zip(self.dom.names, self.table)}
@@ -222,25 +234,22 @@ def compose(outer: FinMap, inner: FinMap) -> FinMap:
 
 def image(f: FinMap) -> Subset:
     """The image of f as a subset of its codomain."""
-    bits = 0
-    for t in f.table:
-        bits |= 1 << t
-    return Subset(f.cod, bits)
+    return Subset(f.cod, sum(1 << j for j, over in enumerate(f._fibers) if over))
 
 
 def fiber(f: FinMap, name: str) -> Subset:
     """The preimage of a codomain element, as a subset of the domain."""
-    j = f.cod.index(name)
-    bits = 0
-    for i, t in enumerate(f.table):
-        if t == j:
-            bits |= 1 << i
-    return Subset(f.dom, bits)
+    return Subset(f.dom, sum(1 << i for i in f._fibers[f.cod.index(name)]))
+
+
+def missed(f: FinMap) -> list[str]:
+    """The codomain elements without a preimage, in declaration order."""
+    return [a for a, over in zip(f.cod.names, f._fibers) if not over]
 
 
 def is_surjection(f: FinMap) -> bool:
     """True when every codomain element has a preimage."""
-    return image(f).bits == (1 << len(f.cod)) - 1
+    return all(f._fibers)
 
 
 def pullback(f: FinMap, p: FinMap) -> tuple[Carrier, FinMap, FinMap]:
@@ -255,14 +264,7 @@ def pullback(f: FinMap, p: FinMap) -> tuple[Carrier, FinMap, FinMap]:
         raise CodomainMismatch(
             f"pullback needs a common codomain, got {f.cod} and {p.cod}"
         )
-    names: list[str] = []
-    t1: list[int] = []
-    t2: list[int] = []
-    for bi, b in enumerate(f.dom.names):
-        for ci, c in enumerate(p.dom.names):
-            if f.table[bi] == p.table[ci]:
-                names.append(f"({b},{c})")
-                t1.append(bi)
-                t2.append(ci)
-    apex = Carrier(tuple(names))
-    return apex, FinMap(apex, f.dom, tuple(t1)), FinMap(apex, p.dom, tuple(t2))
+    pairs = [(bi, ci) for bi, t in enumerate(f.table) for ci in p._fibers[t]]
+    apex = Carrier(tuple(f"({f.dom.names[bi]},{p.dom.names[ci]})" for bi, ci in pairs))
+    pr1 = FinMap(apex, f.dom, tuple(bi for bi, _ in pairs))
+    return apex, pr1, FinMap(apex, p.dom, tuple(ci for _, ci in pairs))

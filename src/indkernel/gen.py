@@ -2,7 +2,7 @@
 
 Everything takes an explicit random.Random so runs are reproducible
 from a single seed. Generated squares always commute: q is chosen
-fiberwise inside f's preimage of p(g(d)).
+fiberwise inside f's preimage of p(g(d)), read off f's preimage table.
 """
 
 from __future__ import annotations
@@ -83,10 +83,7 @@ def random_square(rng: Random, max_size: int = 5) -> Square:
     f = random_finmap(rng, B, A)
     p = random_finmap(rng, C, A)
     # d is placed over a c whose corner has at least one compatible b
-    fibers: dict[int, list[int]] = {}
-    for bi, ai in enumerate(f.table):
-        fibers.setdefault(ai, []).append(bi)
-    usable = [ci for ci in range(nc) if p.table[ci] in fibers]
+    usable = [ci for ci in range(nc) if f._fibers[p.table[ci]]]
     nd = rng.randint(0, max_size) if usable else 0
     D = named_carrier(nd, "d")
     g_table = []
@@ -94,7 +91,7 @@ def random_square(rng: Random, max_size: int = 5) -> Square:
     for _ in range(nd):
         ci = rng.choice(usable)
         g_table.append(ci)
-        q_table.append(rng.choice(fibers[p.table[ci]]))
+        q_table.append(rng.choice(f._fibers[p.table[ci]]))
     return Square(
         f=f,
         p=p,
@@ -105,8 +102,9 @@ def random_square(rng: Random, max_size: int = 5) -> Square:
 
 def all_squares(max_size: int) -> Iterator[Square]:
     """Every commuting square whose four carriers have at most max_size
-    elements. (g, q) range jointly over the matched pairs of (f, p), so
-    commutation holds by construction and nothing is filtered out.
+    elements. (g, q) range jointly over the matched pairs of (f, p),
+    read off p's preimage table, so commutation holds by construction
+    and nothing is filtered out.
 
     Counts grow steeply: 74112 squares at max_size 3; max_size 4 is
     out of desk range.
@@ -123,12 +121,7 @@ def all_squares(max_size: int) -> Iterator[Square]:
                     f = FinMap(B, A, tuple(f_table))
                     for p_table in product(range(na), repeat=nc) if nc else [()]:
                         p = FinMap(C, A, tuple(p_table))
-                        pairs = [
-                            (bi, ci)
-                            for bi in range(nb)
-                            for ci in range(nc)
-                            if f_table[bi] == p_table[ci]
-                        ]
+                        pairs = [(bi, ci) for bi, t in enumerate(f_table) for ci in p._fibers[t]]
                         for nd in range(max_size + 1):
                             if nd > 0 and not pairs:
                                 break

@@ -88,24 +88,6 @@ def square_from_json(data: dict) -> Square:
     return Square(f=legs["f"], p=legs["p"], g=legs["g"], q=legs["q"])
 
 
-def square_to_json(sq: Square) -> dict:
-    return {
-        "kind": "square",
-        "carriers": {
-            "A": list(sq.A.names),
-            "B": list(sq.B.names),
-            "C": list(sq.C.names),
-            "D": list(sq.D.names),
-        },
-        "maps": {
-            "f": sq.f.to_mapping(),
-            "p": sq.p.to_mapping(),
-            "g": sq.g.to_mapping(),
-            "q": sq.q.to_mapping(),
-        },
-    }
-
-
 def surjection_family_from_json(data: dict) -> SurjectionFamily:
     base = _carrier(_require(data, "base", list, "family"), "family base")
     members_data = _require(data, "members", list, "family")

@@ -38,10 +38,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .errors import ArityMismatch, UnknownElement
+from .errors import UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
-from .wtree import Signature, WTree, _dot, distinct_nodes, share_fold, sup, validate
+from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold, sup, validate
 
 RULE = "rule"
 ASSUME = "assume"
@@ -125,15 +125,7 @@ class ProofSignature:
     def rule_app(self, index: int, children: Mapping[str, WTree]) -> WTree:
         """Apply rule #index to children keyed by premise name."""
         by_premise = self._slots[2][index]
-        extra = [p for p in children if p not in by_premise]
-        missing = [p for p in by_premise if p not in children]
-        if extra or missing:
-            parts = []
-            if missing:
-                parts.append(f"missing premises {missing}")
-            if extra:
-                parts.append(f"unexpected premises {extra}")
-            raise ArityMismatch(f"rule {index}: " + ", ".join(parts))
+        check_keys(f"rule {index}", "premises", by_premise, children)
         return sup(
             self.sig,
             self.rule_labels[index],
@@ -397,11 +389,12 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     return _dot("proof", w, describe)
 
 
-def render_proof(psig: ProofSignature, w: WTree, indent: str = "") -> str:
-    """Plain-text rendering for terminals, one node per line."""
+def render_proof(psig: ProofSignature, w: WTree) -> str:
+    """Plain-text rendering for terminals, one node per line, each
+    child indented two spaces more than its parent."""
     texts: dict[str, str] = {}  # label -> its line, built once per call
     lines: list[str] = []
-    stack = [(w, indent)]
+    stack = [(w, "")]
     while stack:
         node, pad = stack.pop()
         text = texts.get(node.label)

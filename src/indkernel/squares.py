@@ -15,8 +15,10 @@ and that D reaches every matched pair (b, c) with f(b) = p(c).
 check_collection_square asks, for every a and every surjection
 e: E ->> B_a with |E| up to a bound, for some c over a whose leg
 q|D_c factors through e. Surjections are taken up to renaming of E
-(one per tuple of fiber sizes, lexicographically), which is sound
-because the condition never inspects E's element names.
+(one per tuple of fiber sizes, lexicographically, all from one
+enumerator), which is sound because the condition never inspects E's
+element names. Every fiber, image and first preimage is read off the
+maps' preimage tables (finite.FinMap._fibers), built once per map.
 
 The reports decide in closed form and list their witnesses rather
 than search for them (tests/oracles.py keeps the searches, and the
@@ -51,7 +53,7 @@ from .errors import (
     NoFactorization,
     NotASurjection,
 )
-from .finite import Carrier, FinMap, compose, fiber, identity, image, is_surjection, pullback
+from .finite import Carrier, FinMap, compose, fiber, identity, image, missed, pullback
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,8 @@ class SurjectionFamily:
         for i, member in enumerate(self.members):
             if member.cod != self.base:
                 raise CodomainMismatch(f"member {i} does not land in the base")
-            if not is_surjection(member):
-                missed = [a for a in self.base.names if len(fiber(member, a)) == 0]
-                raise NotASurjection(f"member {i} misses {missed} of the base")
+            if missing := missed(member):
+                raise NotASurjection(f"member {i} misses {missing} of the base")
 
 
 def covering_report(sq: Square) -> dict:
@@ -121,19 +122,17 @@ def covering_report(sq: Square) -> dict:
     The counterexample names either an element of A outside the image
     of p, or an uncovered matched pair.
     """
-    p_image = image(sq.p)
-    for a in sq.A.names:
-        if a not in p_image:
-            return {
-                "holds": False,
-                "p_surjective": False,
-                "pairs_surjective": None,
-                "counterexample": {"kind": "p-misses", "element": a},
-            }
-    reached = {(sq.q.table[di], sq.g.table[di]) for di in range(len(sq.D))}
-    for bi in range(len(sq.B)):
-        for ci in range(len(sq.C)):
-            if sq.f.table[bi] == sq.p.table[ci] and (bi, ci) not in reached:
+    if p_missed := missed(sq.p):
+        return {
+            "holds": False,
+            "p_surjective": False,
+            "pairs_surjective": None,
+            "counterexample": {"kind": "p-misses", "element": p_missed[0]},
+        }
+    reached = set(zip(sq.q.table, sq.g.table))
+    for bi, ai in enumerate(sq.f.table):
+        for ci in sq.p._fibers[ai]:
+            if (bi, ci) not in reached:
                 return {
                     "holds": False,
                     "p_surjective": True,
@@ -143,29 +142,26 @@ def covering_report(sq: Square) -> dict:
                         "pair": [sq.B.name(bi), sq.C.name(ci)],
                     },
                 }
-    return {
-        "holds": True,
-        "p_surjective": True,
-        "pairs_surjective": True,
-        "counterexample": None,
-    }
+    return {"holds": True, "p_surjective": True, "pairs_surjective": True, "counterexample": None}
 
 
 def check_covering_square(sq: Square) -> bool:
     return covering_report(sq)["holds"]
 
 
-def _fiber_size_tuples(targets: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All (k_1 .. k_targets) with every k >= 1 and sum <= bound, in
-    lexicographic order: the last entry grows first, and once the sum
+def _surjection_blocks(targets: int, bound: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The canonical surjections onto targets elements with at most bound
+    domain elements: their fiber sizes (k_1 .. k_targets), every k >= 1,
+    in lexicographic order (the last entry grows first; once the sum
     reaches the bound, trailing entries fall back to 1 and the entry to
-    their left grows."""
+    their left grows), and the first domain index of each block, then
+    the domain size. The domain fills the blocks in order."""
     if targets > bound:
         return
     sizes = [1] * targets
     total = targets
     while True:
-        yield tuple(sizes)
+        yield tuple(sizes), list(accumulate(sizes, initial=0))
         i = targets - 1
         while i >= 0 and total == bound:
             total -= sizes[i] - 1
@@ -177,36 +173,29 @@ def _fiber_size_tuples(targets: int, bound: int) -> Iterator[tuple[int, ...]]:
         total += 1
 
 
-def surjections_onto(target: Carrier, bound: int, prefix: str = "e") -> Iterator[FinMap]:
-    """Canonical surjections E ->> target with |E| <= bound, one per
-    fiber-size tuple; E is prefix0, prefix1, ..., assigned in blocks."""
-    names = _names(prefix, bound)
-    for sizes in _fiber_size_tuples(len(target), bound):
-        table = _blocks(range(len(target)), sizes)
-        yield FinMap(Carrier(tuple(names[: len(table)])), target, tuple(table))
+def _surjection_doc(names: list[str], targets: Sequence, sizes: tuple[int, ...], starts: list[int]) -> dict:
+    """The {"domain", "map"} document of a canonical surjection whose
+    domain is the first starts[-1] of names, each block sent to its target."""
+    domain = names[: starts[-1]]
+    return {"domain": domain, "map": dict(zip(domain, chain.from_iterable(map(repeat, targets, sizes))))}
 
 
 def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(n)]
 
 
-def _blocks(targets: Sequence, sizes: tuple[int, ...]) -> list:
-    """The table of the canonical surjection with these fiber sizes:
-    each target repeated over its block of the domain."""
-    return list(chain.from_iterable(map(repeat, targets, sizes)))
-
-
-def _starts(sizes: tuple[int, ...]) -> list[int]:
-    """The first domain index of each block, then the domain size."""
-    return list(accumulate(sizes, initial=0))
+def surjections_onto(target: Carrier, bound: int) -> Iterator[FinMap]:
+    """Canonical surjections E ->> target with |E| <= bound, one per
+    fiber-size tuple; E is e0, e1, ..., assigned in blocks."""
+    names = _names("e", bound)
+    for sizes, starts in _surjection_blocks(len(target), bound):
+        doc = _surjection_doc(names, range(len(target)), sizes, starts)
+        yield FinMap(Carrier(tuple(doc["domain"])), target, tuple(doc["map"].values()))
 
 
 def default_square_bound(sq: Square) -> int:
     """Largest fiber of f, plus two."""
-    sizes = [0] * len(sq.A)
-    for ai in sq.f.table:
-        sizes[ai] += 1
-    return max(sizes, default=0) + 2
+    return max(map(len, sq.f._fibers), default=0) + 2
 
 
 def collection_report(sq: Square, bound: int | None = None, record: bool = False) -> dict:
@@ -224,27 +213,14 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
         bound = default_square_bound(sq)
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    f_fibers: list[list[int]] = [[] for _ in range(len(sq.A))]
-    for bi, ai in enumerate(sq.f.table):
-        f_fibers[ai].append(bi)
-    first_c: list[int | None] = [None] * len(sq.A)
-    for ci in range(len(sq.C) - 1, -1, -1):
-        first_c[sq.p.table[ci]] = ci
-    if record:
-        d_by_c: list[list[int]] = [[] for _ in range(len(sq.C))]
-        for di, ci in enumerate(sq.g.table):
-            d_by_c[ci].append(di)
-        e_names = _names("e", bound)
-
+    e_names = _names("e", bound) if record else []
     witnesses: list[dict] = []
     skipped: list[dict] = []
-    for ai, a in enumerate(sq.A.names):
-        fiber_b = f_fibers[ai]
+    for a, fiber_b, over_a in zip(sq.A.names, sq.f._fibers, sq.p._fibers):
         if len(fiber_b) > bound:
             skipped.append({"a": a, "reason": f"fiber has {len(fiber_b)} elements, bound is {bound}"})
             continue
-        ci = first_c[ai]
-        if ci is None:
+        if not over_a:
             return {
                 "holds": False,
                 "bound": bound,
@@ -258,13 +234,12 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
                 "skipped": skipped,
             }
         if record:
-            position = {bi: j for j, bi in enumerate(fiber_b)}
-            blocks = [position[sq.q.table[di]] for di in d_by_c[ci]]
-            d_names = [sq.D.name(di) for di in d_by_c[ci]]
-            c = sq.C.name(ci)
+            d_over = sq.g._fibers[over_a[0]]
+            blocks = [fiber_b.index(sq.q.table[di]) for di in d_over]
+            d_names = [sq.D.name(di) for di in d_over]
+            c = sq.C.name(over_a[0])
             onto = len(set(blocks)) == len(fiber_b)
-            for sizes in _fiber_size_tuples(len(fiber_b), bound):
-                starts = _starts(sizes)
+            for sizes, starts in _surjection_blocks(len(fiber_b), bound):
                 witnesses.append(
                     {
                         "a": a,
@@ -275,6 +250,7 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
                     }
                 )
     return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses, "skipped": skipped}
+
 
 def check_collection_square(sq: Square, bound: int | None = None) -> bool:
     return collection_report(sq, bound)["holds"]
@@ -309,10 +285,9 @@ def build_amc_square(f: FinMap, families: Mapping[str, Sequence[FinMap]]) -> Squ
                 raise CodomainMismatch(f"cover t{ti} over {a!r} does not land in dom(f)")
             if image(t).bits != want:
                 raise NotASurjection(f"cover t{ti} over {a!r} is not onto the fiber of {a!r}")
-            for xi, x in enumerate(t.dom.names):
-                d_names.append(f"({a},t{ti},{x})")
-                g_table.append(ai)
-                q_table.append(t.table[xi])
+            d_names.extend(f"({a},t{ti},{x})" for x in t.dom.names)
+            g_table.extend([ai] * len(t.table))
+            q_table.extend(t.table)
     D = Carrier(tuple(d_names))
     return Square(
         f=f,
@@ -330,16 +305,10 @@ def refines(p: FinMap, q: FinMap) -> FinMap | None:
     """
     if p.cod != q.cod:
         raise CodomainMismatch("refinement needs a common codomain")
-    first_preimage: dict[int, int] = {}
-    for zi in range(len(q.dom) - 1, -1, -1):
-        first_preimage[q.table[zi]] = zi
-    table: list[int] = []
-    for yi in range(len(p.dom)):
-        zi = first_preimage.get(p.table[yi])
-        if zi is None:
-            return None
-        table.append(zi)
-    return FinMap(p.dom, q.dom, tuple(table))
+    over = [q._fibers[t] for t in p.table]
+    if not all(over):
+        return None
+    return FinMap(p.dom, q.dom, tuple(z[0] for z in over))
 
 
 def default_family_bound(base_size: int) -> int:
@@ -359,23 +328,21 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
         raise InvalidValue("bound must be at least the size of the base")
     base = fam.base.names
     if not fam.members:
-        domain = _names("y", len(base))
+        first = next(_surjection_blocks(len(base), len(base)))
         return {
             "holds": False,
             "bound": bound,
-            "counterexample": {"domain": domain, "map": dict(zip(domain, base))},
+            "counterexample": _surjection_doc(_names("y", len(base)), base, *first),
             "witnesses": [],
         }
     witnesses: list[dict] = []
     if record:
         member = fam.members[0]
         y_names = _names("y", bound)
-        for sizes in _fiber_size_tuples(len(base), bound):
-            starts = _starts(sizes)
-            domain = y_names[: starts[-1]]
+        for sizes, starts in _surjection_blocks(len(base), bound):
             witnesses.append(
                 {
-                    "surjection": {"domain": domain, "map": dict(zip(domain, _blocks(base, sizes)))},
+                    "surjection": _surjection_doc(y_names, base, sizes, starts),
                     "member": 0,
                     "factor": dict(zip(member.dom.names, [y_names[starts[x]] for x in member.table])),
                 }
@@ -409,19 +376,15 @@ def collection_family_report(
         refining: dict[int, int] = {}
         for i, target in enumerate(ys):
             n = len(target)
-            if n > bound:
-                continue  # no surjection within budget, vacuous
             if n not in refining:
                 refining[n] = next(j for j, y in enumerate(ys) if (len(y) >= n if n else not len(y)))
             source = ys[refining[n]]
             rest = ["e0"] * (len(source) - n)
-            for sizes in _fiber_size_tuples(n, bound):
-                starts = _starts(sizes)
-                domain = e_names[: starts[-1]]
+            for sizes, starts in _surjection_blocks(n, bound):
                 witnesses.append(
                     {
                         "index": i,
-                        "surjection": {"domain": domain, "map": dict(zip(domain, _blocks(target.names, sizes)))},
+                        "surjection": _surjection_doc(e_names, target.names, sizes, starts),
                         "refining_index": refining[n],
                         "factor": dict(zip(source.names, [e_names[s] for s in starts[:n]] + rest)),
                     }
@@ -443,9 +406,8 @@ def strong_amc_factor(fam: SurjectionFamily, f: FinMap) -> tuple[int, FinMap]:
     """
     if f.cod != fam.base:
         raise CodomainMismatch("f must land in the family's base")
-    if not is_surjection(f):
-        missed = [a for a in fam.base.names if len(fiber(f, a)) == 0]
-        raise NotASurjection(f"f misses {missed} of the base")
+    if missing := missed(f):
+        raise NotASurjection(f"f misses {missing} of the base")
     if not fam.members:
         raise NoFactorization("the family has no members")
     first = fam.members[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ArityMismatch, DuplicateName, EmptyWType, UnknownElement
 from .finite import Carrier
@@ -76,18 +76,20 @@ class WTree:
     children: tuple["WTree", ...] = ()
 
 
+def check_keys(head: str, noun: str, expected: Collection[str], given: Mapping[str, object]) -> None:
+    """Raise ArityMismatch("<head>: missing <noun> [...], unexpected
+    <noun> [...]") unless given has exactly the keys in expected."""
+    missing = [k for k in expected if k not in given]
+    extra = [k for k in given if k not in expected]
+    if missing or extra:
+        parts = [f"{what} {noun} {keys}" for what, keys in (("missing", missing), ("unexpected", extra)) if keys]
+        raise ArityMismatch(f"{head}: " + ", ".join(parts))
+
+
 def sup(sig: Signature, label: str, children: Mapping[str, WTree]) -> WTree:
     """Build a node, checking the children against the label's slots."""
     slots = sig.arity(label)
-    missing = [s for s in slots.names if s not in children]
-    extra = [s for s in children if s not in slots]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing slots {missing}")
-        if extra:
-            parts.append(f"unexpected slots {extra}")
-        raise ArityMismatch(f"node {label!r}: " + ", ".join(parts))
+    check_keys(f"node {label!r}", "slots", slots, children)
     return WTree(label, tuple(children[s] for s in slots.names))
 
 

@@ -7,7 +7,8 @@ surjections are enumerated as raw tables and quotiented afterwards
 (or, canonically, by filtering every tuple of fiber sizes), square
 and family conditions are decided by searching every canonical
 surjection for a witness, subset members are read by scanning the
-whole carrier, rule-file lines are tokenized one character at a time
+whole carrier, preimages, onto checks and pullback pairs by scanning
+a map's whole table (once per codomain element or per pair), rule-file lines are tokenized one character at a time
 and whole rule files are read from those tokens, assumption sets are
 recombined from every rule in every round, and trees are folded by
 plain recursion over every position. Only usable at tiny sizes.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from itertools import product
 
-from indkernel.finite import Carrier, FinMap, Subset, compose, is_surjection
+from indkernel.finite import Carrier, FinMap, Subset, compose
 from indkernel.inddef import InductiveDefinition
 from indkernel.proofs import ProofSignature
 from indkernel.squares import Square, SurjectionFamily
@@ -134,6 +135,18 @@ def canonical_surjections(target: Carrier, bound: int, prefix: str) -> list[FinM
     return out
 
 
+def preimages_by_scan(f: FinMap) -> dict[str, list[str]]:
+    """Each codomain name with the domain names over it, in declaration
+    order, by scanning the whole table once per codomain element."""
+    return {a: [b for bi, b in enumerate(f.dom.names) if f.table[bi] == j] for j, a in enumerate(f.cod.names)}
+
+
+def pullback_pairs_by_scan(f: FinMap, p: FinMap) -> list[tuple[str, str]]:
+    """The pairs (b, c) with f(b) = p(c), by testing every pair in
+    lexicographic declaration order."""
+    return [(b, c) for b in f.dom.names for c in p.dom.names if f(b) == p(c)]
+
+
 def least_lift(p: FinMap, q: FinMap) -> FinMap | None:
     """f with q o f = p, sending each y to the first z with q(z) = p(y)."""
     table = []
@@ -236,7 +249,7 @@ def collection_family_report_by_search(ys: list[Carrier], bound: int, record: bo
                     continue
                 table = tuple(p.table.index(k) if k < len(target) else 0 for k in range(len(source)))
                 f = FinMap(source, p.dom, table)
-                if is_surjection(compose(p, f)):
+                if set(compose(p, f).table) == set(range(len(target))):
                     found = (i2, f)
                     break
             surjection = {"domain": list(p.dom.names), "map": p.to_mapping()}

@@ -1,5 +1,6 @@
 """Carriers, subsets, maps: examples and algebraic properties."""
 
+import pickle
 from random import Random
 
 import pytest
@@ -17,9 +18,11 @@ from indkernel.finite import (
     image,
     is_surjection,
     members,
+    missed,
     pullback,
 )
-from oracles import subset_names_by_scan
+from indkernel.squares import refines
+from oracles import least_lift, preimages_by_scan, pullback_pairs_by_scan, subset_names_by_scan
 
 
 def carriers(max_size=5, prefix="x"):
@@ -219,3 +222,56 @@ def test_image_is_union_of_singleton_fibers(f):
     im = image(f)
     for a in f.cod.names:
         assert (a in im) == (len(fiber(f, a)) > 0)
+
+
+def random_map_pair(rng: Random) -> tuple[FinMap, FinMap]:
+    """Two maps into one codomain of 0-4 elements, from domains of 0-5
+    elements (both empty when the codomain is)."""
+    cod = Carrier(tuple(f"a{i}" for i in range(rng.randint(0, 4))))
+    maps = []
+    for prefix in ("b", "c"):
+        dom = Carrier(tuple(f"{prefix}{i}" for i in range(rng.randint(0, 5) if len(cod) else 0)))
+        maps.append(FinMap(dom, cod, tuple(rng.randrange(len(cod)) for _ in dom.names)))
+    return maps[0], maps[1]
+
+
+class TestPreimageTable:
+    def test_every_reader_matches_a_plain_scan(self):
+        rng = Random(2027)
+        shapes = set()
+        for _ in range(500):
+            f, p = random_map_pair(rng)
+            shapes.add((len(f.dom) > 0, len(f.cod) > 0))
+            scan = preimages_by_scan(f)
+            assert [[f.dom.name(i) for i in over] for over in f._fibers] == list(scan.values())
+            assert image(f).names() == tuple(a for a, bs in scan.items() if bs)
+            for a, bs in scan.items():
+                assert fiber(f, a).names() == tuple(bs)
+            assert missed(f) == [a for a, bs in scan.items() if not bs]
+            assert is_surjection(f) == all(scan.values())
+            apex, pr1, pr2 = pullback(f, p)
+            pairs = pullback_pairs_by_scan(f, p)
+            assert apex.names == tuple(f"({b},{c})" for b, c in pairs)
+            assert [(pr1(t), pr2(t)) for t in apex.names] == pairs
+            assert refines(p, f) == least_lift(p, f)
+        assert shapes == {(False, False), (False, True), (True, True)}
+
+    def test_the_table_is_built_once_and_kept(self):
+        f = FinMap(Carrier.of("b0", "b1", "b2"), Carrier.of("a0", "a1"), (1, 0, 1))
+        assert "_fibers" not in vars(f)
+        table = f._fibers
+        assert table == ((1,), (0, 2))
+        assert f._fibers is table
+
+    def test_equality_hashing_repr_and_pickles_ignore_the_table(self):
+        dom, cod = Carrier.of("b0", "b1", "b2"), Carrier.of("a0", "a1")
+        used = FinMap(dom, cod, (1, 0, 1))
+        fresh = FinMap(dom, cod, (1, 0, 1))
+        used._fibers
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert "_fibers" not in vars(back)
+        assert back == fresh and hash(back) == hash(fresh)
+        assert back._fibers == used._fibers

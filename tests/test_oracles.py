@@ -1,7 +1,7 @@
 """The oracles in tests/oracles.py share no code with the engine paths
 they check: they import nothing from the parser and name none of the
 engine's private helpers, nor its enumeration of surjections, nor its
-tree folds."""
+tree folds, nor a map's preimage table or the onto check that reads it."""
 
 import ast
 from pathlib import Path
@@ -12,11 +12,13 @@ ENGINE_INTERNALS = {
     "_derivation",
     "_premise_index",
     "_tokenize",
-    "_fiber_size_tuples",
+    "_surjection_blocks",
     "surjections_onto",
     "share_fold",
     "distinct_nodes",
     "fold",
+    "_fibers",
+    "is_surjection",
 }
 
 
@@ -52,7 +54,9 @@ def test_the_guard_sees_each_kind_of_tie():
     assert engine_ties("getattr(m, '_derivation')") == {"_derivation"}
     assert engine_ties("def _tokenize(): pass") == {"_tokenize"}
     assert engine_ties("from indkernel.squares import surjections_onto") == {"surjections_onto"}
-    assert engine_ties("squares._fiber_size_tuples(2, 4)") == {"_fiber_size_tuples"}
+    assert engine_ties("squares._surjection_blocks(2, 4)") == {"_surjection_blocks"}
     assert engine_ties("from indkernel.wtree import share_fold") == {"share_fold"}
     assert engine_ties("wtree.distinct_nodes(t)") == {"distinct_nodes"}
     assert engine_ties("fold(sig, t, step)") == {"fold"}
+    assert engine_ties("f._fibers[0]") == {"_fibers"}
+    assert engine_ties("from indkernel.finite import is_surjection") == {"is_surjection"}
