@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Time each layer of a one-shot rule-file run at three sizes.
+
+The layers are parse (parse_rule_file), build (definition_from_ast),
+closure, cold synthesize_proof (a fresh definition and an empty proof
+signature cache, as in a one-shot CLI run), cold witness, and
+render_proof of that proof. The inputs are seeded random systems from
+bench/inputs.py: n elements and 5n rules of 0-3 premises, at n = 2.5k,
+5k and 10k, a seed of about 2% of the elements and a goal from the
+last closure stage. Each time is the minimum of five runs. Each
+layer also gets its growth exponent log2(t(2n) / t(n)) for each
+doubling of n; 1 means linear.
+
+The indkernel measured is the one under --src (the checkout's src/ by
+default), so two checkouts can be compared. The results are printed
+and merged into the JSON file --out under --label, next to the labels
+already there, for a BENCH_*.json trajectory file:
+
+    python scripts/layer_times.py --label change --out BENCH_n.json
+    python scripts/layer_times.py --src ../parent/src --label parent --out BENCH_n.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import sys
+import time
+from pathlib import Path
+from random import Random
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (2500, 5000, 10000)
+SEED = 7
+REPEAT = 5
+LAYERS = ("parse", "build", "closure", "synthesize_proof", "witness", "render_proof")
+
+
+def best_of(run, prepare=lambda: None) -> float:
+    """The least wall time of run(prepare()) over REPEAT tries; prepare is untimed."""
+    best = math.inf
+    for _ in range(REPEAT):
+        arg = prepare()
+        start = time.perf_counter()
+        run(arg)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def time_layers(n: int) -> dict[str, float]:
+    import inputs
+    from indkernel import dsl, inddef, proofs
+
+    rng = Random(f"{SEED}:{n}")
+    names, rules = inputs.random_system(rng, n, 5 * n)
+    start = inputs.random_seed(rng, names)
+    text = inputs.rule_file(names, rules, start)
+    ast = dsl.parse_rule_file(text)
+    phi, u, _ = dsl.definition_from_ast(ast)
+    stages = inddef.closure_stages(phi, u)
+    last = stages[-1] if len(stages) == 1 else stages[-1] - stages[-2]
+    goal = rng.choice(last.names())
+
+    def fresh():
+        proofs.build_proof_signature.cache_clear()
+        return dsl.definition_from_ast(ast)[0]
+
+    proof = proofs.synthesize_proof(phi, u, goal)
+    psig = proofs.build_proof_signature(phi)
+    times = {
+        "parse": best_of(lambda _: dsl.parse_rule_file(text)),
+        "build": best_of(lambda _: dsl.definition_from_ast(ast)),
+        "closure": best_of(lambda _: inddef.closure(phi, u)),
+        "synthesize_proof": best_of(lambda p: proofs.synthesize_proof(p, u, goal), fresh),
+        "witness": best_of(lambda p: proofs.witness(p, u, goal), fresh),
+        "render_proof": best_of(lambda _: proofs.render_proof(psig, proof)),
+    }
+    proofs.build_proof_signature.cache_clear()
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the indkernel package")
+    parser.add_argument("--label", required=True, help="name of this run in the JSON file")
+    parser.add_argument("--out", required=True, help="JSON file to merge the results into")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
+
+    by_size = {n: time_layers(n) for n in SIZES}
+    growth = {
+        layer: {
+            f"{n}->{2 * n}": round(math.log2(by_size[2 * n][layer] / by_size[n][layer]), 3)
+            for n in SIZES[:-1]
+        }
+        for layer in LAYERS
+    }
+    print(f"{'layer':18s}" + "".join(f"{f'{n}/{5 * n}':>14s}" for n in SIZES) + "  growth")
+    for layer in LAYERS:
+        cells = "".join(f"{by_size[n][layer] * 1e3:11.2f} ms" for n in SIZES)
+        print(f"{layer:18s}{cells}  " + " ".join(f"{g:.2f}" for g in growth[layer].values()))
+    big = SIZES[-1]
+    print(f"build / parse at {big}/{5 * big}: {by_size[big]['build'] / by_size[big]['parse']:.2f}")
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "seed": SEED,
+        "repeat": REPEAT,
+        "seconds": {layer: {str(n): by_size[n][layer] for n in SIZES} for layer in LAYERS},
+        "growth_exponent": growth,
+    }
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,10 +196,7 @@ def run_command(argv: Sequence[str]) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except IndkernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IndkernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not pass for a verdict or bad input

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import DuplicateName, ParseError, UndeclaredName
 from .finite import Carrier, Subset
-from .inddef import InductiveDefinition, Rule
+from .inddef import InductiveDefinition
 from .topology import CoverPresentation
 
 KEYWORDS = ("set", "rule", "axiom", "seed", "goal")
@@ -208,22 +208,34 @@ def emit(ast: RuleFileAST) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def definition_from_ast(ast: RuleFileAST) -> tuple[InductiveDefinition, Subset, str | None]:
-    """The rule system, the seed subset (empty if no seed line), and goal."""
+def _columns(ast: RuleFileAST) -> tuple[Carrier, list[int], list[int], Subset]:
+    """The carrier, each rule's premise mask and conclusion index (one
+    dict lookup per name), and the seed subset."""
     carrier = Carrier(ast.names)
-    rules = tuple(
-        Rule(Subset.from_names(carrier, r.premises), r.conclusion) for r in ast.rules
-    )
-    phi = InductiveDefinition(carrier, rules)
-    seed = Subset.from_names(carrier, ast.seed or ())
-    return phi, seed, ast.goal
+    index = carrier._index
+    bit = {name: 1 << i for name, i in index.items()}
+    masks, conclusions = [], []
+    try:
+        for r in ast.rules:
+            bits = 0
+            for name in r.premises:
+                bits |= bit[name]
+            masks.append(bits)
+            conclusions.append(index[r.conclusion])
+    except KeyError as exc:  # a name no set line declared, in a hand-built AST
+        carrier.index(exc.args[0])
+    return carrier, masks, conclusions, Subset.from_names(carrier, ast.seed or ())
+
+
+def definition_from_ast(ast: RuleFileAST) -> tuple[InductiveDefinition, Subset, str | None]:
+    """The rule system, built from its columns with no Subset or Rule per
+    rule, the seed subset (empty if no seed line), and the goal."""
+    carrier, masks, conclusions, seed = _columns(ast)
+    return InductiveDefinition._from_columns(carrier, masks, conclusions), seed, ast.goal
 
 
 def presentation_from_ast(ast: RuleFileAST) -> tuple[CoverPresentation, Subset, str | None]:
     """Read every rule as a cover axiom (conclusion covered by premises)."""
-    base = Carrier(ast.names)
-    axioms = tuple(
-        (r.conclusion, Subset.from_names(base, r.premises)) for r in ast.rules
-    )
-    seed = Subset.from_names(base, ast.seed or ())
+    base, masks, conclusions, seed = _columns(ast)
+    axioms = tuple((base.names[c], Subset(base, m)) for m, c in zip(masks, conclusions))
     return CoverPresentation(base, axioms), seed, ast.goal

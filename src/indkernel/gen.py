@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .dsl import AstRule, RuleFileAST
 from .finite import Carrier, FinMap, Subset
-from .inddef import InductiveDefinition, Rule
+from .inddef import InductiveDefinition
 from .squares import Square, SurjectionFamily
 from .topology import CoverPresentation
 from .wtree import Signature
@@ -40,19 +40,14 @@ def random_subset(rng: Random, carrier: Carrier) -> Subset:
 def random_definition(rng: Random, spec: InstanceSpec = InstanceSpec()) -> InductiveDefinition:
     n = rng.randint(1, spec.max_elements)
     carrier = named_carrier(n)
-    rules: list[Rule] = []
-    seen: set[tuple[int, int]] = set()
+    rules: dict[tuple[int, int], None] = {}  # (premise mask, conclusion index), first kept
     for _ in range(rng.randint(0, spec.max_rules)):
         k = rng.randint(0, min(spec.max_premises, n))
         bits = 0
         for i in rng.sample(range(n), k):
             bits |= 1 << i
-        ci = rng.randrange(n)
-        if (bits, ci) in seen:
-            continue
-        seen.add((bits, ci))
-        rules.append(Rule(Subset(carrier, bits), carrier.name(ci)))
-    return InductiveDefinition(carrier, tuple(rules))
+        rules.setdefault((bits, rng.randrange(n)))
+    return InductiveDefinition._from_columns(carrier, [m for m, _ in rules], [c for _, c in rules])
 
 
 def random_finmap(rng: Random, dom: Carrier, cod: Carrier) -> FinMap:
@@ -146,14 +141,10 @@ def random_surjection_family(rng: Random, max_base: int = 4, max_members: int = 
 
 def random_cover_presentation(rng: Random, max_base: int = 6, max_axioms: int = 8) -> CoverPresentation:
     base = named_carrier(rng.randint(1, max_base), "o")
-    axioms: list[tuple[str, Subset]] = []
-    seen: set[tuple[str, int]] = set()
+    axioms: dict[tuple[str, Subset], None] = {}  # distinct axioms, first kept
     for _ in range(rng.randint(0, max_axioms)):
         a = base.name(rng.randrange(len(base)))
-        x = random_subset(rng, base)
-        if (a, x.bits) not in seen:
-            seen.add((a, x.bits))
-            axioms.append((a, x))
+        axioms.setdefault((a, random_subset(rng, base)))
     return CoverPresentation(base, tuple(axioms))
 
 

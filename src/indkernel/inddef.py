@@ -6,6 +6,8 @@ of every rule whose premises it contains; the closure of a seed is the
 least closed superset of the seed. On a finite carrier the closure is
 reached after at most one stage per element.
 
+A rule system stores its rules as columns of premise masks and
+conclusion indices; Rule and Subset live only at the API edge.
 closure() and closure_stages() read one staged counting pass: a rule
 is revisited only when one of its missing premises arrives, and the
 pass records the round (stage) in which each element arrives.
@@ -17,8 +19,9 @@ deliberately simple.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from .finite import Carrier, Subset, members
 
@@ -37,60 +40,78 @@ class Rule:
         return f"{self.premises} -> {self.conclusion}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InductiveDefinition:
-    """An ordered list of rules over one carrier.
+    """An ordered list of rules over one carrier, stored as two columns:
+    each rule's premise bitmask (_masks) and its conclusion's index
+    (_conclusion_index). The engines and renderers read only these.
 
     Duplicate rules add nothing to any closure; they are dropped at
-    construction with a warning so that downstream indexing by rule
-    position stays unambiguous. The engines read the rules through
-    _premise_index (each rule's premise indices, lowest first) and
-    _conclusion_index, not through the Subset of each rule. The premise
-    indices and the hash are computed on first use and kept.
+    construction with a warning, the first one kept, so that downstream
+    indexing by rule position stays unambiguous. rules (the Rule
+    objects), _premise_index (each rule's premise indices, lowest
+    first), _by_conclusion and the hash are built on first read.
     """
 
     carrier: Carrier
-    rules: tuple[Rule, ...]
-    _conclusion_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...]
+    _conclusion_index: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        index = self.carrier._index
-        kept: list[Rule] = []
-        conclusions: list[int] = []
-        seen: set[tuple[int, int]] = set()
-        for rule in self.rules:
-            if rule.premises.of != self.carrier:
+    def __new__(cls, carrier: Carrier, rules: Iterable[Rule]) -> InductiveDefinition:
+        rules = tuple(rules)
+        for rule in rules:
+            if rule.premises.of != carrier:
                 raise ValueError(f"rule {rule} ranges over a different carrier")
-            key = (rule.premises.bits, index[rule.conclusion])  # Rule checked the conclusion
-            if key in seen:
-                warnings.warn(f"dropping duplicate rule {rule}", stacklevel=2)
-                continue
-            seen.add(key)
-            kept.append(rule)
-            conclusions.append(key[1])
-        object.__setattr__(self, "rules", tuple(kept))
-        object.__setattr__(self, "_conclusion_index", tuple(conclusions))
+        conclusions = [carrier._index[r.conclusion] for r in rules]  # Rule checked each one
+        return cls._from_columns(carrier, [r.premises.bits for r in rules], conclusions)
+
+    @classmethod
+    def _from_columns(cls, carrier: Carrier, masks: Sequence[int], conclusions: Sequence[int]) -> InductiveDefinition:
+        """The definition of the rules (masks[i], conclusions[i]); the
+        caller has checked them against the carrier."""
+        kept: dict[tuple[int, int], bool | None] = dict.fromkeys(zip(masks, conclusions))
+        if len(kept) < len(masks):
+            for key in zip(masks, conclusions):
+                if kept[key]:  # a copy of this rule came earlier
+                    rule = f"{Subset(carrier, key[0])} -> {carrier.names[key[1]]}"
+                    warnings.warn(f"dropping duplicate rule {rule}", stacklevel=3)
+                kept[key] = True
+            masks, conclusions = zip(*kept)
+        phi = object.__new__(cls)
+        phi.__dict__.update(carrier=carrier, _masks=tuple(masks), _conclusion_index=tuple(conclusions))
+        return phi
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        names = self.carrier.names
+        return tuple(Rule(Subset(self.carrier, m), names[c]) for m, c in zip(self._masks, self._conclusion_index))
 
     @cached_property
     def _premise_index(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(members(rule.premises.bits)) for rule in self.rules)
+        return tuple(tuple(members(m)) for m in self._masks)
+
+    @cached_property
+    def _by_conclusion(self) -> list[list[int]]:
+        """Per element, the indices of the rules concluding it, in order."""
+        by_conclusion: list[list[int]] = [[] for _ in self.carrier.names]
+        for ri, ci in enumerate(self._conclusion_index):
+            by_conclusion[ci].append(ri)
+        return by_conclusion
 
     @cached_property
     def _hash(self) -> int:
-        # equal definitions have equal carriers, premise masks and
-        # conclusions; hashing those skips a Rule and Subset hash per rule
-        return hash((self.carrier, tuple(r.premises.bits for r in self.rules), self._conclusion_index))
+        return hash((self.carrier, self._masks, self._conclusion_index))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuild on unpickling: string hashes differ between processes
-        return InductiveDefinition, (self.carrier, self.rules)
+        return InductiveDefinition._from_columns, (self.carrier, self._masks, self._conclusion_index)
 
     def __str__(self) -> str:
         body = "; ".join(str(r) for r in self.rules)
-        return f"<{len(self.rules)} rules over {self.carrier}: {body}>"
+        return f"<{len(self._masks)} rules over {self.carrier}: {body}>"
 
 
 def _check_seed(phi: InductiveDefinition, u: Subset) -> None:
@@ -101,8 +122,8 @@ def _check_seed(phi: InductiveDefinition, u: Subset) -> None:
 def is_phi_closed(phi: InductiveDefinition, a: Subset) -> bool:
     """True when a contains the conclusion of every rule it satisfies."""
     _check_seed(phi, a)
-    for rule, ci in zip(phi.rules, phi._conclusion_index):
-        if rule.premises.bits & ~a.bits == 0 and not (a.bits >> ci) & 1:
+    for mask, ci in zip(phi._masks, phi._conclusion_index):
+        if mask & ~a.bits == 0 and not (a.bits >> ci) & 1:
             return False
     return True
 
@@ -116,11 +137,11 @@ def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[in
     set that grows as rules fire (which would put some arrivals a round
     early), and each arrival decrements exactly the rules watching it.
     """
-    conclusion = phi._conclusion_index
+    masks, conclusion = phi._masks, phi._conclusion_index
     current, arrived, pending = seed, [], []
     outside = ~seed
-    for ri, rule in enumerate(phi.rules):
-        if rule.premises.bits & outside:
+    for ri, mask in enumerate(masks):
+        if mask & outside:
             pending.append(ri)
         elif not (current >> conclusion[ri]) & 1:
             current |= 1 << conclusion[ri]
@@ -128,12 +149,11 @@ def _staged_pass(phi: InductiveDefinition, seed: int) -> tuple[int, list[list[in
     if not arrived:
         return current, []
 
-    stage1, rounds, arrived = current, [arrived], []
-    missing = [0] * len(phi.rules)
+    rounds, arrived, outside = [arrived], [], ~current  # outside stage 1
+    missing = [0] * len(masks)
     watchers: list[list[int]] = [[] for _ in range(len(phi.carrier))]
-    outside = ~stage1
     for ri in pending:
-        rem = phi.rules[ri].premises.bits & outside
+        rem = masks[ri] & outside
         if rem:
             missing[ri] = rem.bit_count()
             for b in members(rem):
@@ -169,10 +189,7 @@ def closure_stages(phi: InductiveDefinition, u: Subset) -> list[Subset]:
     _check_seed(phi, u)
     stages = [u]
     for arrived in _staged_pass(phi, u.bits)[1]:
-        bits = stages[-1].bits
-        for x in arrived:
-            bits |= 1 << x
-        stages.append(Subset(phi.carrier, bits))
+        stages.append(Subset(phi.carrier, stages[-1].bits | sum(1 << x for x in arrived)))
     return stages
 
 

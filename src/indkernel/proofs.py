@@ -21,10 +21,10 @@ synthesize_proof, witness and characterize read the staged counting
 pass behind closure (inddef); a synthesized proof shares one node per
 element. ass, is_proof and the JSON writer and reader visit each node
 object once (wtree.share_fold); render_proof and proof_to_dot write one
-line or node per tree position. No walk recurses. The signature, the
-derivation search, the renderers and compactness_basis read each
-rule's premise indices from the definition; Subset is only the type of
-arguments and results.
+line or node per tree position. No walk recurses. The derivation
+search and renderers read the definition's columns (premises from a
+rule's mask, for the rules they visit); the slots and compactness_basis
+read its premise index tuples. Subset is the type of arguments and results.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -41,7 +41,7 @@ from typing import Mapping
 from .errors import UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
-from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold, sup, validate
+from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold, validate
 
 RULE = "rule"
 ASSUME = "assume"
@@ -64,21 +64,15 @@ class ProofSignature:
 
     def __init__(self, phi: InductiveDefinition):
         self.phi = phi
-        names = phi.carrier.names
-        taken = set(names)
+        self._kind: dict[str, tuple[str, object]] = {name: (ASSUME, name) for name in phi.carrier.names}
         rule_labels = []
-        for i in range(len(phi.rules)):
+        for i in range(len(phi._masks)):
             label = f"rule{i}"
-            while label in taken:
+            while label in self._kind:  # freshened past element names and earlier labels
                 label += "_"
-            taken.add(label)
+            self._kind[label] = (RULE, i)
             rule_labels.append(label)
         self.rule_labels: tuple[str, ...] = tuple(rule_labels)
-        self._kind: dict[str, tuple[str, object]] = {}
-        for i, label in enumerate(self.rule_labels):
-            self._kind[label] = (RULE, i)
-        for name in names:
-            self._kind[name] = (ASSUME, name)
 
     @cached_property
     def _slots(self) -> tuple[Signature, dict[str, str], tuple[dict[str, str], ...]]:
@@ -126,11 +120,7 @@ class ProofSignature:
         """Apply rule #index to children keyed by premise name."""
         by_premise = self._slots[2][index]
         check_keys(f"rule {index}", "premises", by_premise, children)
-        return sup(
-            self.sig,
-            self.rule_labels[index],
-            {by_premise[p]: t for p, t in children.items()},
-        )
+        return WTree(self.rule_labels[index], tuple(children[p] for p in by_premise))
 
 
 @lru_cache(maxsize=256)
@@ -144,7 +134,7 @@ def conc(psig: ProofSignature, w: WTree) -> str:
     kind, payload = psig.kind_of(w.label)
     if kind == ASSUME:
         return payload  # type: ignore[return-value]
-    return psig.phi.rules[payload].conclusion  # type: ignore[index]
+    return psig.phi.carrier.names[psig.phi._conclusion_index[payload]]  # type: ignore[index]
 
 
 def ass(psig: ProofSignature, w: WTree) -> Subset:
@@ -185,7 +175,7 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
 
 def _derivation(
     phi: InductiveDefinition, u: Subset, goal: str
-) -> dict[int, tuple[int, tuple[int, ...]] | None] | None:
+) -> dict[int, tuple[int, list[int]] | None] | None:
     """The choices behind the synthesized derivation of goal, or None.
 
     Maps each element the derivation uses to None when it is assumed
@@ -203,19 +193,16 @@ def _derivation(
     for k, arrived in enumerate([members(u.bits), *rounds]):
         for x in arrived:
             stage[x] = k
-    by_conclusion: list[list[int]] = [[] for _ in range(n)]
-    for ri, ci in enumerate(phi._conclusion_index):
-        by_conclusion[ci].append(ri)
 
-    chosen: dict[int, tuple[int, tuple[int, ...]] | None] = {}
+    chosen: dict[int, tuple[int, list[int]] | None] = {}
     todo = [gi]
     while todo:
         x = todo.pop()
         if x in chosen:
             continue
         chosen[x] = None  # stays None for the stage-0 elements, those of u
-        for ri in by_conclusion[x] if stage[x] else ():
-            premises = phi._premise_index[ri]
+        for ri in phi._by_conclusion[x] if stage[x] else ():
+            premises = members(phi._masks[ri])
             if all(stage[b] < stage[x] for b in premises):
                 chosen[x] = (ri, premises)
                 todo.extend(premises)
@@ -258,8 +245,8 @@ def characterize(phi: InductiveDefinition, u: Subset, depth: int) -> Subset:
     if depth == 0:
         return Subset.empty(phi.carrier)
     level1 = u.bits
-    for premises, ci in zip(phi._premise_index, phi._conclusion_index):
-        if not premises:
+    for mask, ci in zip(phi._masks, phi._conclusion_index):
+        if not mask:
             level1 |= 1 << ci
     stages = closure_stages(phi, Subset(phi.carrier, level1))
     return stages[min(depth, len(stages)) - 1]
@@ -324,10 +311,7 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
         for x, masks in gained.items():  # only now: depth d reads depth d - 1
             reach[x] |= masks
         last = gained
-    masks: set[int] = set()
-    for per_element in reach:
-        masks |= per_element
-    return frozenset(Subset(phi.carrier, m) for m in masks)
+    return frozenset(Subset(phi.carrier, m) for m in set().union(*reach))
 
 
 def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
@@ -335,18 +319,17 @@ def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     {"kind": "rule", "rule": i, "children": {premise: node}} otherwise.
     A node the proof shares gives one shared dict; the document is ==
     to the expanded one and serializes to the same text."""
-    names = psig.phi.carrier.names
-    premise_index = psig.phi._premise_index
+    names, masks = psig.phi.carrier.names, psig.phi._masks
 
     def children(node: WTree) -> tuple[WTree, ...]:
         kind, payload = psig.kind_of(node.label)
-        return node.children[: len(premise_index[payload])] if kind == RULE else ()  # type: ignore[index]
+        return node.children[: masks[payload].bit_count()] if kind == RULE else ()  # type: ignore[index]
 
     def step(node: WTree, docs: list[dict]) -> dict:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
             return {"kind": "assume", "element": payload}
-        premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
+        premises = [names[b] for b in members(masks[payload])]  # type: ignore[index]
         return {"kind": "rule", "rule": payload, "children": dict(zip(premises, docs))}
 
     return share_fold(w, step, children)
@@ -375,16 +358,14 @@ def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
 def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     """Graphviz rendering: every node annotated with its conclusion,
     assumption leaves drawn as boxes."""
-    names = psig.phi.carrier.names
-    premise_index = psig.phi._premise_index
+    names, masks = psig.phi.carrier.names, psig.phi._masks
 
     def describe(node: WTree) -> tuple[str, str, list[tuple[str, WTree]]]:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
             return "shape=box, ", payload, []  # type: ignore[return-value]
-        premises = [names[b] for b in premise_index[payload]]  # type: ignore[index]
-        conclusion = psig.phi.rules[payload].conclusion  # type: ignore[index]
-        return "", f"{node.label} => {conclusion}", list(zip(premises, node.children))
+        premises = [names[b] for b in members(masks[payload])]  # type: ignore[index]
+        return "", f"{node.label} => {conc(psig, node)}", list(zip(premises, node.children))
 
     return _dot("proof", w, describe)
 
@@ -403,8 +384,9 @@ def render_proof(psig: ProofSignature, w: WTree) -> str:
             if kind == ASSUME:
                 text = f"{payload}  [assumed]"
             else:
-                rule = psig.phi.rules[payload]  # type: ignore[index]
-                text = f"{rule.conclusion}  [{node.label}: {rule.premises} -> {rule.conclusion}]"
+                premises = Subset(psig.phi.carrier, psig.phi._masks[payload])  # type: ignore[index]
+                conclusion = conc(psig, node)
+                text = f"{conclusion}  [{node.label}: {premises} -> {conclusion}]"
             texts[node.label] = text
         lines.append(pad + text)
         pad += "  "

@@ -1,8 +1,9 @@
 """Inductively generated covers over a finite base of opens.
 
 A presentation lists cover axioms (a, X), read "X covers a". Each
-axiom becomes the rule (X, a) of a rule system over the base, and the
-cover relation a ◁ U becomes membership of a in the closure of U.
+axiom becomes the rule (X, a) of a rule system over the base, read
+straight into the rule store's columns (X's mask, a's index) with no
+Rule per axiom, and a ◁ U becomes membership of a in the closure of U.
 compact_subcover then extracts a finite V ⊆ U that already covers a,
 via the derivation-witness machinery.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finite import Carrier, Subset
-from .inddef import InductiveDefinition, Rule, closure
+from .inddef import InductiveDefinition, closure
 from .proofs import witness
 
 
@@ -37,7 +38,8 @@ class CoverPresentation:
 
 def to_inductive_definition(cp: CoverPresentation) -> InductiveDefinition:
     """One rule (X, a) per axiom (a, X), over the base."""
-    return InductiveDefinition(cp.base, tuple(Rule(x, a) for a, x in cp.axioms))
+    conclusions = [cp.base._index[a] for a, _ in cp.axioms]
+    return InductiveDefinition._from_columns(cp.base, [x.bits for _, x in cp.axioms], conclusions)
 
 
 def covers(cp: CoverPresentation, a: str, u: Subset) -> bool:

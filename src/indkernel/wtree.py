@@ -18,7 +18,7 @@ visits each node object once. No walk recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from random import Random
@@ -37,7 +37,6 @@ class Signature:
 
     labels: Carrier
     arities: tuple[Carrier, ...]
-    _slot_owner: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arities", tuple(self.arities))
@@ -53,7 +52,6 @@ class Signature:
                         f"slot {slot!r} appears under both {owner[slot]!r} and {label!r}"
                     )
                 owner[slot] = label
-        object.__setattr__(self, "_slot_owner", owner)
 
     @classmethod
     def of(cls, arity: Mapping[str, Iterable[str]]) -> "Signature":

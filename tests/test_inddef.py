@@ -4,13 +4,17 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indkernel
+from indkernel.cli import run_command
+from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.finite import Carrier, Subset
 from indkernel.inddef import (
     InductiveDefinition,
@@ -20,6 +24,7 @@ from indkernel.inddef import (
     is_phi_closed,
     naive_closure_oracle,
 )
+from indkernel.proofs import build_proof_signature
 from oracles import closed_supersets
 
 AB = Carrier.of("a", "b")
@@ -185,6 +190,125 @@ class TestConstruction:
         fwd = closure(InductiveDefinition(ABC, (r1, r2)), u)
         rev = closure(InductiveDefinition(ABC, (r2, r1)), u)
         assert fwd == rev
+
+
+def built_both_ways(carrier, rules):
+    """(definition, warning texts) from the public constructor and from
+    the columns constructor, on the same rules."""
+    masks = [r.premises.bits for r in rules]
+    conclusions = [carrier.index(r.conclusion) for r in rules]
+    results = []
+    for build in (
+        lambda: InductiveDefinition(carrier, rules),
+        lambda: InductiveDefinition._from_columns(carrier, masks, conclusions),
+    ):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            phi = build()
+        results.append((phi, [str(w.message) for w in record]))
+    return results
+
+
+class TestColumnStore:
+    def test_columns_constructor_agrees_with_rule_constructor_on_500_systems(self):
+        """Duplicates, premise-free rules, empty and one-element carriers:
+        both constructors give equal definitions, hashes, rules, warnings
+        and pickles, and keep the first copy of each rule in order."""
+        rng = Random(8)
+        shapes = {"empty": 0, "one": 0, "duplicates": 0, "premise-free": 0}
+        for case in range(500):
+            n = (0, 1, 1, 2, 3, 5, 8)[case % 7]
+            carrier = Carrier(tuple(f"s{i}" for i in range(n)))
+            rules = []
+            for _ in range(rng.randint(0, 12) if n else 0):
+                if rules and rng.random() < 0.25:
+                    rules.append(rng.choice(rules))
+                else:
+                    bits = sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(3, n))))
+                    rules.append(Rule(Subset(carrier, bits), carrier.name(rng.randrange(n))))
+            kept, texts = [], []
+            for rule in rules:
+                if rule in kept:
+                    texts.append(f"dropping duplicate rule {rule}")
+                else:
+                    kept.append(rule)
+            shapes["empty"] += n == 0
+            shapes["one"] += n == 1
+            shapes["duplicates"] += bool(texts)
+            shapes["premise-free"] += any(not r.premises.bits for r in rules)
+
+            (by_rules, warned_rules), (by_columns, warned_columns) = built_both_ways(carrier, rules)
+            assert warned_rules == warned_columns == texts
+            assert by_rules == by_columns and hash(by_rules) == hash(by_columns)
+            assert by_rules.rules == by_columns.rules == tuple(kept)
+            assert by_rules.carrier == by_columns.carrier == carrier
+            for phi, twin in ((by_rules, by_columns), (by_columns, by_rules)):
+                again = pickle.loads(pickle.dumps(phi))
+                assert again == twin and hash(again) == hash(twin)
+                assert again.rules == tuple(kept)
+        assert all(shapes.values()), shapes
+
+    def test_rules_are_built_on_first_read_and_kept(self):
+        phi = InductiveDefinition._from_columns(ABC, [0b101, 0b001], [1, 2])
+        assert "rules" not in vars(phi)
+        assert phi.rules == (
+            Rule(Subset.from_names(ABC, ["a", "c"]), "b"),
+            Rule(Subset.from_names(ABC, ["a"]), "c"),
+        )
+        assert phi.rules is phi.rules
+        assert str(phi) == "<2 rules over {a, b, c}: {a, c} -> b; {a} -> c>"
+
+    def test_one_shot_commands_build_no_rule_and_no_premise_index(self, tmp_path, capsys, monkeypatch):
+        """close, prove (text and JSON), witness and cover on a seeded
+        1000-element file print the same with Rule construction and the
+        premise index tuples made to raise: they read only the columns."""
+        rng = Random(1000)
+        names = [f"v{i}" for i in range(1000)]
+        rules = {}
+        while len(rules) < 5000:
+            premises = tuple(sorted(rng.sample(range(1000), rng.randint(0, 3))))
+            rules.setdefault((premises, rng.randrange(1000)))
+        seed = sorted(rng.sample(range(1000), 20))
+        lines = ["set " + " ".join(names)]
+        lines += [" ".join(["rule", *(names[b] for b in p), "->", names[c]]) for p, c in rules]
+        lines.append("seed " + " ".join(names[i] for i in seed))
+        path = tmp_path / "big.rules"
+        path.write_text("\n".join(lines) + "\n")
+
+        phi, u, _ = definition_from_ast(parse_rule_file(path.read_text()))
+        stages = closure_stages(phi, u)
+        assert len(stages) > 3
+        goal = (stages[-1] - stages[-2]).names()[0]
+        outside = (Subset.full(phi.carrier) - stages[-1]).names()[0]
+        commands = [
+            ["close", path],
+            *(
+                [*command, path, flag, point]
+                for point in (goal, outside)
+                for command, flag in ((["prove"], "--goal"), (["prove", "--json"], "--goal"),
+                                      (["witness"], "--goal"), (["cover"], "--point"))
+            ),
+        ]
+
+        def outputs():
+            got = []
+            for argv in commands:
+                build_proof_signature.cache_clear()
+                code = run_command([str(a) for a in argv])
+                got.append((code, capsys.readouterr().out))
+            return got
+
+        want = outputs()
+        assert [code for code, _ in want] == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-shot command read the API edge")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Rule, "__init__", refuse)
+            patch.setattr(InductiveDefinition, "_premise_index", property(refuse))
+            assert outputs() == want
+        build_proof_signature.cache_clear()
 
 
 @settings(max_examples=100)
