@@ -3,11 +3,13 @@
 
 The layers are parse (parse_rule_file), build (definition_from_ast),
 closure, cold synthesize_proof (a fresh definition and an empty proof
-signature cache, as in a one-shot CLI run), cold witness, and
-render_proof of that proof. The inputs are seeded random systems from
-bench/inputs.py: n elements and 5n rules of 0-3 premises, at n = 2.5k,
-5k and 10k, a seed of about 2% of the elements and a goal from the
-last closure stage. Each time is the minimum of five runs. Each
+signature cache, as in a one-shot CLI run), cold witness, render_proof
+of that proof, cold build_proof_signature, and is_proof and the
+proof_from_json(proof_to_json(...)) round trip of that proof, each on
+a fresh ProofSignature, as a one-shot check of a proof runs. The
+inputs are seeded random systems from bench/inputs.py: n elements and
+5n rules of 0-3 premises, at n = 2.5k, 5k and 10k, a seed of about 2%
+of the elements and a goal from the last closure stage. Each time is the minimum of five runs. Each
 layer also gets its growth exponent log2(t(2n) / t(n)) for each
 doubling of n; 1 means linear.
 
@@ -35,7 +37,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2500, 5000, 10000)
 SEED = 7
 REPEAT = 5
-LAYERS = ("parse", "build", "closure", "synthesize_proof", "witness", "render_proof")
+LAYERS = (
+    "parse", "build", "closure", "synthesize_proof", "witness", "render_proof",
+    "build_proof_signature", "is_proof", "json_round_trip",
+)
 
 
 def best_of(run, prepare=lambda: None) -> float:
@@ -76,6 +81,11 @@ def time_layers(n: int) -> dict[str, float]:
         "synthesize_proof": best_of(lambda p: proofs.synthesize_proof(p, u, goal), fresh),
         "witness": best_of(lambda p: proofs.witness(p, u, goal), fresh),
         "render_proof": best_of(lambda _: proofs.render_proof(psig, proof)),
+        "build_proof_signature": best_of(proofs.build_proof_signature, fresh),
+        "is_proof": best_of(lambda s: proofs.is_proof(s, proof), lambda: proofs.ProofSignature(phi)),
+        "json_round_trip": best_of(
+            lambda s: proofs.proof_from_json(s, proofs.proof_to_json(s, proof)), lambda: proofs.ProofSignature(phi)
+        ),
     }
     proofs.build_proof_signature.cache_clear()
     return times
@@ -97,10 +107,10 @@ def main(argv=None) -> int:
         }
         for layer in LAYERS
     }
-    print(f"{'layer':18s}" + "".join(f"{f'{n}/{5 * n}':>14s}" for n in SIZES) + "  growth")
+    print(f"{'layer':22s}" + "".join(f"{f'{n}/{5 * n}':>14s}" for n in SIZES) + "  growth")
     for layer in LAYERS:
         cells = "".join(f"{by_size[n][layer] * 1e3:11.2f} ms" for n in SIZES)
-        print(f"{layer:18s}{cells}  " + " ".join(f"{g:.2f}" for g in growth[layer].values()))
+        print(f"{layer:22s}{cells}  " + " ".join(f"{g:.2f}" for g in growth[layer].values()))
     big = SIZES[-1]
     print(f"build / parse at {big}/{5 * big}: {by_size[big]['build'] / by_size[big]['parse']:.2f}")
 

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import dsl, inddef, jsonio, proofs, selftest, squares, topology
+from . import dsl, inddef, jsonio, proofs, selftest, squares
 from .errors import IndkernelError
 from .squares import SurjectionFamily
 
@@ -127,9 +127,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    ast = dsl.parse_rule_file(jsonio.read_text(args.file))
-    cp, seed, _ = dsl.presentation_from_ast(ast)
-    v = topology.compact_subcover(cp, args.point, seed)
+    phi, seed, _ = _load_problem(args.file)  # the rules read as cover axioms
+    v = proofs.witness(phi, seed, args.point)
     if v is None:
         print(f"{args.point} is not covered by {seed}")
         return 1

@@ -44,13 +44,13 @@ class Rule:
 class InductiveDefinition:
     """An ordered list of rules over one carrier, stored as two columns:
     each rule's premise bitmask (_masks) and its conclusion's index
-    (_conclusion_index). The engines and renderers read only these.
+    (_conclusion_index). Every engine reads only these, decoding a
+    rule's premise indices from its mask (members) where it needs them.
 
     Duplicate rules add nothing to any closure; they are dropped at
     construction with a warning, the first one kept, so that downstream
     indexing by rule position stays unambiguous. rules (the Rule
-    objects), _premise_index (each rule's premise indices, lowest
-    first), _by_conclusion and the hash are built on first read.
+    objects), _by_conclusion and the hash are built on first read.
     """
 
     carrier: Carrier
@@ -85,10 +85,6 @@ class InductiveDefinition:
     def rules(self) -> tuple[Rule, ...]:
         names = self.carrier.names
         return tuple(Rule(Subset(self.carrier, m), names[c]) for m, c in zip(self._masks, self._conclusion_index))
-
-    @cached_property
-    def _premise_index(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(members(m)) for m in self._masks)
 
     @cached_property
     def _by_conclusion(self) -> list[list[int]]:

@@ -21,10 +21,10 @@ synthesize_proof, witness and characterize read the staged counting
 pass behind closure (inddef); a synthesized proof shares one node per
 element. ass, is_proof and the JSON writer and reader visit each node
 object once (wtree.share_fold); render_proof and proof_to_dot write one
-line or node per tree position. No walk recurses. The derivation
-search and renderers read the definition's columns (premises from a
-rule's mask, for the rules they visit); the slots and compactness_basis
-read its premise index tuples. Subset is the type of arguments and results.
+line or node per tree position. No walk recurses. All of them read the
+definition's columns: a rule's premises are decoded from its mask for
+the rules a proof uses (ProofSignature._premise_names), and once per
+rule by compactness_basis. Subset is the type of arguments and results.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -41,7 +41,7 @@ from typing import Mapping
 from .errors import UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
-from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold, validate
+from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold
 
 RULE = "rule"
 ASSUME = "assume"
@@ -50,50 +50,48 @@ ASSUME = "assume"
 class ProofSignature:
     """The branching signature for derivations over one rule system.
 
-    labels: one per rule (named "rule0", "rule1", ... and freshened if
-    an element uses such a name), then one per carrier element, in
-    declaration order. A rule label's slots are named
-    "<rulelabel>.<premise>" and target that premise, in premise index
-    order; an element label has no slots. kind_of and slot_target
-    expose this structure so no caller ever parses a label or slot name.
+    labels: one per rule (named "rule0", "rule1", ... and freshened with
+    underscores past the element names: rule labels differ in their
+    digits), then one per carrier element, in declaration order. A rule
+    label's slots are named "<rulelabel>.<premise>" and target that
+    premise, in premise index order; an element label has no slots.
+    kind_of and slot_target expose this structure so no caller ever
+    parses a label or slot name.
 
-    The labels and kind_of are built with the signature; sig and the
-    slots are built on first use, since synthesizing and rendering a
-    proof read each rule's premises from the definition instead.
+    The signature stores only phi and reads the rest off its columns on
+    demand; sig and the slots are built on first read only.
     """
 
     def __init__(self, phi: InductiveDefinition):
         self.phi = phi
-        self._kind: dict[str, tuple[str, object]] = {name: (ASSUME, name) for name in phi.carrier.names}
-        rule_labels = []
-        for i in range(len(phi._masks)):
-            label = f"rule{i}"
-            while label in self._kind:  # freshened past element names and earlier labels
-                label += "_"
-            self._kind[label] = (RULE, i)
-            rule_labels.append(label)
-        self.rule_labels: tuple[str, ...] = tuple(rule_labels)
+
+    def rule_label(self, index: int) -> str:
+        """The label of rule #index."""
+        label = f"rule{index}"
+        while label in self.phi.carrier._index:
+            label += "_"
+        return label
 
     @cached_property
-    def _slots(self) -> tuple[Signature, dict[str, str], tuple[dict[str, str], ...]]:
-        """(signature, slot -> premise, per rule: premise -> slot)."""
+    def rule_labels(self) -> tuple[str, ...]:
+        return tuple(map(self.rule_label, range(len(self.phi._masks))))
+
+    def _premise_names(self, index: int) -> list[str]:
+        """The premises of rule #index, in slot order."""
         names = self.phi.carrier.names
+        return [names[b] for b in members(self.phi._masks[index])]
+
+    @cached_property
+    def _slots(self) -> tuple[Signature, dict[str, str]]:
+        """(signature, slot -> premise)."""
         arities = []
         slot_target: dict[str, str] = {}
-        slot_of: list[dict[str, str]] = []
-        for label, premise_index in zip(self.rule_labels, self.phi._premise_index):
-            per_premise: dict[str, str] = {}
-            for b in premise_index:
-                premise = names[b]
-                slot = f"{label}.{premise}"
-                slot_target[slot] = premise
-                per_premise[premise] = slot
-            arities.append(Carrier(tuple(per_premise.values())))
-            slot_of.append(per_premise)
-        empty = Carrier(())
-        arities.extend(empty for _ in names)
-        sig = Signature(Carrier(self.rule_labels + names), tuple(arities))
-        return sig, slot_target, tuple(slot_of)
+        for i, label in enumerate(self.rule_labels):
+            slots = {f"{label}.{premise}": premise for premise in self._premise_names(i)}
+            slot_target.update(slots)
+            arities.append(Carrier(tuple(slots)))
+        arities += [Carrier(())] * len(self.phi.carrier)
+        return Signature(Carrier(self.rule_labels + self.phi.carrier.names), tuple(arities)), slot_target
 
     @property
     def sig(self) -> Signature:
@@ -101,11 +99,17 @@ class ProofSignature:
         return self._slots[0]
 
     def kind_of(self, label: str) -> tuple[str, object]:
-        """(RULE, rule index) or (ASSUME, element name) for a label."""
-        try:
-            return self._kind[label]
-        except KeyError:
-            raise UnknownElement(f"{label!r} is not a label of this signature") from None
+        """(RULE, rule index) or (ASSUME, element name) for a label: the
+        inverse of rule_label on rule labels."""
+        if label in self.phi.carrier._index:
+            return ASSUME, label
+        digits = label[4:].rstrip("_") if isinstance(label, str) and label.startswith("rule") else ""
+        # ASCII digits only, and no longer than the largest index, before int() reads them
+        if digits.isascii() and digits.isdigit() and len(digits) <= len(str(len(self.phi._masks))):
+            index = int(digits)
+            if index < len(self.phi._masks) and self.rule_label(index) == label:
+                return RULE, index
+        raise UnknownElement(f"{label!r} is not a label of this signature")
 
     def slot_target(self, slot: str) -> str:
         """The premise element a rule node's slot must conclude."""
@@ -118,9 +122,11 @@ class ProofSignature:
 
     def rule_app(self, index: int, children: Mapping[str, WTree]) -> WTree:
         """Apply rule #index to children keyed by premise name."""
-        by_premise = self._slots[2][index]
-        check_keys(f"rule {index}", "premises", by_premise, children)
-        return WTree(self.rule_labels[index], tuple(children[p] for p in by_premise))
+        if not 0 <= index < len(self.phi._masks):
+            raise UnknownElement(f"rule {index} is not a rule of this signature")
+        premises = self._premise_names(index)
+        check_keys(f"rule {index}", "premises", premises, children)
+        return WTree(self.rule_label(index), tuple(children[p] for p in premises))
 
 
 @lru_cache(maxsize=256)
@@ -161,15 +167,14 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
     well-formed. Total: structurally invalid trees return False. Each
     shared node is checked once.
     """
-    if not validate(psig.sig, w):
-        return False
-    for node in distinct_nodes(w):
-        kind, _ = psig.kind_of(node.label)
-        if kind == RULE:
-            slots = psig.sig.arity(node.label).names
-            for slot, child in zip(slots, node.children):
-                if conc(psig, child) != psig.slot_target(slot):
-                    return False
+    for node in distinct_nodes(w):  # children first, so conc only reads labels already checked
+        try:
+            kind, payload = psig.kind_of(node.label)
+        except UnknownElement:
+            return False
+        premises = psig._premise_names(payload) if kind == RULE else []  # type: ignore[arg-type]
+        if len(node.children) != len(premises) or any(conc(psig, c) != p for p, c in zip(premises, node.children)):
+            return False
     return True
 
 
@@ -222,13 +227,13 @@ def synthesize_proof(phi: InductiveDefinition, u: Subset, goal: str) -> WTree | 
     chosen = _derivation(phi, u, goal)
     if chosen is None:
         return None
-    labels = build_proof_signature(phi).rule_labels
+    label = build_proof_signature(phi).rule_label
     built: dict[int, WTree] = {}
     for x, choice in chosen.items():
         if choice is None:
             built[x] = WTree(phi.carrier.names[x])
         else:
-            built[x] = WTree(labels[choice[0]], tuple(built[b] for b in choice[1]))
+            built[x] = WTree(label(choice[0]), tuple(built[b] for b in choice[1]))
     return built[phi.carrier.index(goal)]
 
 
@@ -279,7 +284,8 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
     n = len(phi.carrier)
     reach: list[set[int]] = [{1 << x} for x in range(n)]  # depth 1: the leaves
     watchers: list[list[int]] = [[] for _ in range(n)]
-    for ri, (rule_premises, ci) in enumerate(zip(phi._premise_index, phi._conclusion_index)):
+    premise_index = [members(m) for m in phi._masks]
+    for ri, (rule_premises, ci) in enumerate(zip(premise_index, phi._conclusion_index)):
         if not rule_premises:
             reach[ci].add(0)
         for b in rule_premises:
@@ -288,7 +294,7 @@ def compactness_basis(phi: InductiveDefinition) -> frozenset[Subset]:
     for _ in range(n):  # depths 2 .. n + 1
         gained: dict[int, set[int]] = {}
         for ri in {ri for b in last for ri in watchers[b]}:
-            premises = phi._premise_index[ri]
+            premises = premise_index[ri]
             ci = phi._conclusion_index[ri]
             for i, b in enumerate(premises):
                 if b not in last:
@@ -319,17 +325,16 @@ def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     {"kind": "rule", "rule": i, "children": {premise: node}} otherwise.
     A node the proof shares gives one shared dict; the document is ==
     to the expanded one and serializes to the same text."""
-    names, masks = psig.phi.carrier.names, psig.phi._masks
 
     def children(node: WTree) -> tuple[WTree, ...]:
         kind, payload = psig.kind_of(node.label)
-        return node.children[: masks[payload].bit_count()] if kind == RULE else ()  # type: ignore[index]
+        return node.children[: psig.phi._masks[payload].bit_count()] if kind == RULE else ()  # type: ignore[index]
 
     def step(node: WTree, docs: list[dict]) -> dict:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
             return {"kind": "assume", "element": payload}
-        premises = [names[b] for b in members(masks[payload])]  # type: ignore[index]
+        premises = psig._premise_names(payload)  # type: ignore[arg-type]
         return {"kind": "rule", "rule": payload, "children": dict(zip(premises, docs))}
 
     return share_fold(w, step, children)
@@ -358,13 +363,12 @@ def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
 def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     """Graphviz rendering: every node annotated with its conclusion,
     assumption leaves drawn as boxes."""
-    names, masks = psig.phi.carrier.names, psig.phi._masks
 
     def describe(node: WTree) -> tuple[str, str, list[tuple[str, WTree]]]:
         kind, payload = psig.kind_of(node.label)
         if kind == ASSUME:
             return "shape=box, ", payload, []  # type: ignore[return-value]
-        premises = [names[b] for b in members(masks[payload])]  # type: ignore[index]
+        premises = psig._premise_names(payload)  # type: ignore[arg-type]
         return "", f"{node.label} => {conc(psig, node)}", list(zip(premises, node.children))
 
     return _dot("proof", w, describe)
@@ -384,9 +388,9 @@ def render_proof(psig: ProofSignature, w: WTree) -> str:
             if kind == ASSUME:
                 text = f"{payload}  [assumed]"
             else:
-                premises = Subset(psig.phi.carrier, psig.phi._masks[payload])  # type: ignore[index]
+                premises = ", ".join(psig._premise_names(payload))  # type: ignore[arg-type]
                 conclusion = conc(psig, node)
-                text = f"{conclusion}  [{node.label}: {premises} -> {conclusion}]"
+                text = f"{conclusion}  [{node.label}: {{{premises}}} -> {conclusion}]"
             texts[node.label] = text
         lines.append(pad + text)
         pad += "  "

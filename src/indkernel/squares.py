@@ -213,7 +213,7 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
         bound = default_square_bound(sq)
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    e_names = _names("e", bound) if record else []
+    e_names: list[str] = []  # made for the first witness that names an element of E
     witnesses: list[dict] = []
     skipped: list[dict] = []
     for a, fiber_b, over_a in zip(sq.A.names, sq.f._fibers, sq.p._fibers):
@@ -234,6 +234,7 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
                 "skipped": skipped,
             }
         if record:
+            e_names = e_names or _names("e", bound if fiber_b else 0)
             d_over = sq.g._fibers[over_a[0]]
             blocks = [fiber_b.index(sq.q.table[di]) for di in d_over]
             d_names = [sq.D.name(di) for di in d_over]
@@ -338,7 +339,7 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
     witnesses: list[dict] = []
     if record:
         member = fam.members[0]
-        y_names = _names("y", bound)
+        y_names = _names("y", bound if base else 0)  # over an empty base no witness names an element
         for sizes, starts in _surjection_blocks(len(base), bound):
             witnesses.append(
                 {
@@ -372,7 +373,7 @@ def collection_family_report(
         raise InvalidValue("bound must be at least 1")
     witnesses: list[dict] = []
     if record:
-        e_names = _names("e", bound)
+        e_names = _names("e", bound if any(ys) else 0)  # onto empty carriers no witness names an element
         refining: dict[int, int] = {}
         for i, target in enumerate(ys):
             n = len(target)

@@ -293,11 +293,11 @@ def well_formed_everywhere(psig: ProofSignature, tree: WTree) -> bool:
 
     kind, payload = psig.kind_of(tree.label)
     if kind == RULE:
-        slots = psig.sig.arity(tree.label).names
-        if len(slots) != len(tree.children):
+        premises = psig.phi.rules[payload].premises.names()  # the public rules, in slot order
+        if len(premises) != len(tree.children):
             return False
-        for slot, child in zip(slots, tree.children):
-            if conc(psig, child) != psig.slot_target(slot):
+        for premise, child in zip(premises, tree.children):
+            if conc(psig, child) != premise:
                 return False
     elif tree.children:
         return False

@@ -1,6 +1,7 @@
-"""The adversarial corpus: a chain of 2000 and a ladder of 30 rungs.
-The corpus also holds not_utf8.rules and not_utf8.json, each with a
-0xff byte; tests/test_cli.py reads them.
+"""The adversarial corpus: a chain of 2000, a ladder of 30 rungs, and
+four square and family instances whose witnesses name no domain
+element. The corpus also holds not_utf8.rules and not_utf8.json, each
+with a 0xff byte; tests/test_cli.py reads them.
 
 chain2000.rules derives c1999 from c0 through 1999 stages, deeper than
 the Python stack allows recursion to go, so its proofs are compared by
@@ -10,11 +11,16 @@ x_{k+1} and y_{k+1} from {x_k, y_k}: the proof of x29 is a DAG of
 measure of it must visit each shared node once.
 """
 
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import indkernel
 from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.finite import Subset
@@ -153,3 +159,38 @@ class TestLadder30:
     def test_cli_witness(self, capsys):
         assert run_command(["witness", str(LADDER)]) == 0
         assert capsys.readouterr().out == "{x0, y0}\n"
+
+
+def cap_address_space():
+    """Run in the child before it starts: 1 GB of address space at most."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("check-square", "empty_square.json"), ("check-square", "empty_fiber_square.json"),
+     ("check-family", "empty_base_family.json"), ("check-family", "empty_carrier_family.json")],
+    ids=["empty-square", "empty-fiber", "empty-base", "empty-carrier"],
+)
+def test_reports_naming_no_element_cost_nothing_at_a_huge_bound(command, name, capsys):
+    """An empty square, a square whose one fiber is empty, a surjection
+    family over an empty base and the carrier family [[]] list
+    witnesses whose domains are empty, so at
+    --bound 10**9 they print the --bound 2 report but for the echoed
+    bound, within a second. A child process capped at 1 GB runs it
+    first, so that a report that allocates per bound fails instead of
+    filling memory."""
+    path = str(CORPUS / name)
+    assert run_command([command, path, "--bound", "2"]) == 0
+    want = capsys.readouterr().out.replace('"bound": 2,', '"bound": 1000000000,')
+    argv = [command, path, "--bound", "1000000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(indkernel.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "indkernel", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=cap_address_space,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, want, "")
+    start = time.perf_counter()
+    assert run_command(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == want

@@ -24,7 +24,7 @@ from indkernel.inddef import (
     is_phi_closed,
     naive_closure_oracle,
 )
-from indkernel.proofs import build_proof_signature
+from indkernel.proofs import ProofSignature, build_proof_signature
 from oracles import closed_supersets
 
 AB = Carrier.of("a", "b")
@@ -169,7 +169,7 @@ class TestConstruction:
             phi = InductiveDefinition(ABC, (first, other, again))
         assert [str(w.message) for w in record] == ["dropping duplicate rule {a, c} -> b"]
         assert phi.rules == (first, other)
-        assert phi._premise_index == ((0, 2), (0,))
+        assert phi._masks == (0b101, 0b001)
         assert phi._conclusion_index == (1, 2)
 
     def test_rule_over_other_carrier_rejected(self):
@@ -261,7 +261,7 @@ class TestColumnStore:
     def test_one_shot_commands_build_no_rule_and_no_premise_index(self, tmp_path, capsys, monkeypatch):
         """close, prove (text and JSON), witness and cover on a seeded
         1000-element file print the same with Rule construction and the
-        premise index tuples made to raise: they read only the columns."""
+        proof signature's slot table made to raise: they read only the columns."""
         rng = Random(1000)
         names = [f"v{i}" for i in range(1000)]
         rules = {}
@@ -306,7 +306,7 @@ class TestColumnStore:
 
         with monkeypatch.context() as patch:
             patch.setattr(Rule, "__init__", refuse)
-            patch.setattr(InductiveDefinition, "_premise_index", property(refuse))
+            patch.setattr(ProofSignature, "_slots", property(refuse))
             assert outputs() == want
         build_proof_signature.cache_clear()
 

@@ -1,16 +1,20 @@
 """Derivations: signature construction, conc/ass, synthesis, witnesses."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indkernel.cli import run_command
 from indkernel.errors import ArityMismatch, UnknownElement
 from indkernel.finite import Carrier, Subset
 from indkernel.inddef import InductiveDefinition, Rule, closure, closure_stages, naive_closure_oracle
 from indkernel.gen import InstanceSpec, random_definition
 from indkernel.proofs import (
+    ASSUME,
+    RULE,
     ProofSignature,
     ass,
     build_proof_signature,
@@ -152,6 +156,125 @@ class TestBuildProofSignature:
         assert build_proof_signature(phi) is psig
         after = build_proof_signature.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def reference_labels(phi):
+    """The labels and kinds of the signature, tabulated: each rule label
+    freshened past the element names and every earlier rule label."""
+    kinds = {name: (ASSUME, name) for name in phi.carrier.names}
+    labels = []
+    for i in range(len(phi.rules)):
+        label = f"rule{i}"
+        while label in kinds:
+            label += "_"
+        kinds[label] = (RULE, i)
+        labels.append(label)
+    return tuple(labels), kinds
+
+
+class TestSignatureReadsTheColumns:
+    def test_labels_and_kinds_match_a_table_on_500_systems(self):
+        """Elements named like rule labels (rule0, rule1_, rule12, ...):
+        rule_labels and kind_of agree with the tabulated labels and
+        kinds, and every other probe near a label is unknown."""
+        rng = Random(9)
+        pool = [f"rule{i}{'_' * k}" for i in (*range(13), 100) for k in range(3)] + ["rule", "rule_", "x"]
+        clashes = 0
+        for _ in range(500):
+            carrier = Carrier(tuple(rng.sample(pool, rng.randint(0, 8))))
+            n = len(carrier)
+            rules = {}
+            for _ in range(rng.randint(0, 14) if n else 0):
+                bits = sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(2, n))))
+                rules.setdefault((bits, rng.randrange(n)))
+            phi = InductiveDefinition._from_columns(carrier, [b for b, _ in rules], [c for _, c in rules])
+            labels, kinds = reference_labels(phi)
+            psig = ProofSignature(phi)
+            assert psig.rule_labels == labels
+            assert [psig.rule_label(i) for i in range(len(labels))] == list(labels)
+            clashes += any(label.endswith("_") for label in labels)
+            probes = {*kinds, *pool, "rule00", "rule01", "rule-1", "rule+1", "rule 1"}
+            probes |= {label + "_" for label in kinds} | {label.rstrip("_") for label in kinds}
+            for probe in probes:
+                if probe in kinds:
+                    assert psig.kind_of(probe) == kinds[probe]
+                else:
+                    with pytest.raises(UnknownElement, match="is not a label of this signature"):
+                        psig.kind_of(probe)
+        assert clashes > 50
+
+    @pytest.mark.parametrize(
+        "label",
+        ["rule" + "1" * 5000, "rule" + "0" * 5000, "rule\u0661", "rule\u00b2", "rule\uff11", "rule01", "rule5_",
+         "rule6", "rule-1", "rule1_0", "rule", "rule_", "Rule0", 5, None],
+        ids=["5000-digits", "5000-zeros", "arabic-indic-digit", "superscript-digit", "fullwidth-digit",
+             "leading-zero", "needless-underscore", "past-the-last", "negative", "inner-underscore", "no-digits",
+             "underscore-only", "capital", "int", "none"],
+    )
+    def test_labels_that_no_rule_encodes_are_unknown(self, label):
+        phi = defn(Carrier(tuple(f"e{i}" for i in range(7))), *(([f"e{i}"], f"e{i + 1}") for i in range(6)))
+        psig = ProofSignature(phi)
+        assert psig.kind_of("rule5") == (RULE, 5)
+        with pytest.raises(UnknownElement):
+            psig.kind_of(label)
+        assert not is_proof(psig, WTree(label))
+
+    def test_the_signature_stores_only_its_definition(self):
+        assert vars(ProofSignature(PAIR)) == {"phi": PAIR}
+
+    @pytest.mark.parametrize("index", [-1, 2, 10**30])
+    def test_rule_indices_outside_the_rules_are_unknown(self, index):
+        """Rule -1 is not read as the last rule, nor rule 2 of two rules
+        as an IndexError."""
+        psig = build_proof_signature(PAIR)
+        leaf = {"kind": "assume", "element": "a"}
+        with pytest.raises(UnknownElement, match=f"rule {index} is not a rule of this signature"):
+            psig.rule_app(index, {"a": psig.assumption("a")})
+        with pytest.raises(UnknownElement, match=f"rule {index} is not a rule of this signature"):
+            proof_from_json(psig, {"kind": "rule", "rule": index, "children": {"a": leaf}})
+
+    def test_checking_reading_and_proving_never_build_the_slots(self, tmp_path, capsys, monkeypatch):
+        """is_proof, proof_from_json and prove (text, JSON, DOT) give the
+        same results with the slot table made to raise."""
+        rng = Random(11)
+        cases = []
+        for _ in range(40):
+            phi = random_definition(rng, InstanceSpec(6, 10, 3))
+            u = Subset(phi.carrier, rng.getrandbits(len(phi.carrier)))
+            psig = ProofSignature(phi)
+            trees = [random_tree(psig.sig, rng) for _ in range(5)]
+            trees += [synthesize_proof(phi, u, goal) for goal in closure(phi, u).names()]
+            cases.append((phi, trees))
+        rule_files = sorted((Path(__file__).resolve().parent / "golden").glob("*.rules"))
+        dot = tmp_path / "proof.dot"
+
+        def results():
+            got = []
+            for phi, trees in cases:
+                psig = ProofSignature(phi)
+                for tree in trees:
+                    ok = is_proof(psig, tree)
+                    got.append(ok)
+                    if ok:
+                        got.append(proof_from_json(psig, proof_to_json(psig, tree)) == tree)
+            for path in rule_files:
+                for flags in ([], ["--json"], ["--dot", str(dot)]):
+                    build_proof_signature.cache_clear()
+                    dot.unlink(missing_ok=True)
+                    code = run_command(["prove", str(path), *flags])
+                    got.append((code, capsys.readouterr(), dot.exists() and dot.read_text()))
+            return got
+
+        want = results()
+        assert True in want and False in want
+
+        def refuse(self):
+            raise AssertionError("the slot table was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ProofSignature, "_slots", property(refuse))
+            assert results() == want
+        build_proof_signature.cache_clear()
 
 
 class TestConc:
