@@ -13,6 +13,12 @@ of the elements and a goal from the last closure stage. Each time is the minimum
 layer also gets its growth exponent log2(t(2n) / t(n)) for each
 doubling of n; 1 means linear.
 
+The warm walks (ass, is_proof, proof_to_json, render_proof and
+proof_to_dot) run over the synthesized proof of the last element of a
+chain of 500 and of a 14-rung ladder (bench/inputs.py), on a signature
+that has walked that proof once already, as the library queries of a
+long-lived process do; each time is the minimum of 20 runs.
+
 The indkernel measured is the one under --src (the checkout's src/ by
 default), so two checkouts can be compared. The results are printed
 and merged into the JSON file --out under --label, next to the labels
@@ -37,16 +43,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2500, 5000, 10000)
 SEED = 7
 REPEAT = 5
+WALKS = ("ass", "is_proof", "proof_to_json", "render_proof", "proof_to_dot")
+WALK_INPUTS = {"chain500": ("chain", 500, 1), "ladder14": ("ladder", 14, 2)}  # generator, size, seed elements
+WALK_REPEAT = 20
 LAYERS = (
     "parse", "build", "closure", "synthesize_proof", "witness", "render_proof",
     "build_proof_signature", "is_proof", "json_round_trip",
 )
 
 
-def best_of(run, prepare=lambda: None) -> float:
-    """The least wall time of run(prepare()) over REPEAT tries; prepare is untimed."""
+def best_of(run, prepare=lambda: None, repeat: int = REPEAT) -> float:
+    """The least wall time of run(prepare()) over repeat tries; prepare is untimed."""
     best = math.inf
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         arg = prepare()
         start = time.perf_counter()
         run(arg)
@@ -91,6 +100,25 @@ def time_layers(n: int) -> dict[str, float]:
     return times
 
 
+def time_walks() -> dict[str, dict[str, float]]:
+    import inputs
+    from indkernel import dsl, proofs
+
+    times: dict[str, dict[str, float]] = {walk: {} for walk in WALKS}
+    for name, (shape, size, seeded) in WALK_INPUTS.items():
+        names, rules = getattr(inputs, shape)(size)
+        text = inputs.rule_file(names, rules, names[:seeded], names[-1])
+        phi, u, goal = dsl.definition_from_ast(dsl.parse_rule_file(text))
+        proof = proofs.synthesize_proof(phi, u, goal)
+        psig = proofs.build_proof_signature(phi)
+        for walk in WALKS:
+            run = getattr(proofs, walk)
+            run(psig, proof)
+            times[walk][name] = best_of(lambda _: run(psig, proof), repeat=WALK_REPEAT)
+    proofs.build_proof_signature.cache_clear()
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the indkernel package")
@@ -113,6 +141,10 @@ def main(argv=None) -> int:
         print(f"{layer:22s}{cells}  " + " ".join(f"{g:.2f}" for g in growth[layer].values()))
     big = SIZES[-1]
     print(f"build / parse at {big}/{5 * big}: {by_size[big]['build'] / by_size[big]['parse']:.2f}")
+    walks = time_walks()
+    print(f"{'warm walk':22s}" + "".join(f"{name:>14s}" for name in WALK_INPUTS))
+    for walk in WALKS:
+        print(f"{walk:22s}" + "".join(f"{walks[walk][name] * 1e3:11.3f} ms" for name in WALK_INPUTS))
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -123,6 +155,8 @@ def main(argv=None) -> int:
         "repeat": REPEAT,
         "seconds": {layer: {str(n): by_size[n][layer] for n in SIZES} for layer in LAYERS},
         "growth_exponent": growth,
+        "warm_walk_seconds": walks,
+        "walk_repeat": WALK_REPEAT,
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

@@ -21,10 +21,11 @@ synthesize_proof, witness and characterize read the staged counting
 pass behind closure (inddef); a synthesized proof shares one node per
 element. ass, is_proof and the JSON writer and reader visit each node
 object once (wtree.share_fold); render_proof and proof_to_dot write one
-line or node per tree position. No walk recurses. All of them read the
-definition's columns: a rule's premises are decoded from its mask for
-the rules a proof uses (ProofSignature._premise_names), and once per
-rule by compactness_basis. Subset is the type of arguments and results.
+line or node per tree position. No walk recurses. Every walk reads a
+label's rule, conclusion and premises from the signature's decoder,
+which reads them off the definition's columns once per label and
+signature; compactness_basis decodes each mask once. Subset is the
+type of arguments and results.
 
 Depth conventions: a leaf has depth 1, and so has the node of a
 premise-free rule. An element that first appears at stage k of the
@@ -38,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .errors import UnknownElement
+from .errors import SchemaError, UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
 from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold
@@ -59,7 +60,7 @@ class ProofSignature:
     parses a label or slot name.
 
     The signature stores only phi and reads the rest off its columns on
-    demand; sig and the slots are built on first read only.
+    demand: each label once (_decode), sig and the slots on first read.
     """
 
     def __init__(self, phi: InductiveDefinition):
@@ -76,10 +77,30 @@ class ProofSignature:
     def rule_labels(self) -> tuple[str, ...]:
         return tuple(map(self.rule_label, range(len(self.phi._masks))))
 
-    def _premise_names(self, index: int) -> list[str]:
+    def _premise_names(self, index: int) -> tuple[str, ...]:
         """The premises of rule #index, in slot order."""
         names = self.phi.carrier.names
-        return [names[b] for b in members(self.phi._masks[index])]
+        return tuple(names[b] for b in members(self.phi._masks[index]))
+
+    _decoded = cached_property(lambda self: {})  # label -> what _decode read off it
+
+    def _decode(self, label: str) -> tuple[int | None, str, tuple[str, ...]]:
+        """(rule index, conclusion, premises) of a rule label, (None, element,
+        ()) of an element label, kept once read; any other label is unknown."""
+        entry = self._decoded.get(label) if isinstance(label, str) else None  # a non-str may be unhashable
+        if entry is None:
+            phi = self.phi
+            digits = label[4:].rstrip("_") if isinstance(label, str) and label.startswith("rule") else ""
+            # decimal digits no longer than the largest index before int() reads them
+            i = int(digits) if digits.isdecimal() and len(digits) <= len(str(len(phi._masks))) else len(phi._masks)
+            if isinstance(label, str) and label in phi.carrier._index:
+                entry = None, label, ()
+            elif i < len(phi._masks) and self.rule_label(i) == label:  # the inverse of rule_label
+                entry = i, phi.carrier.names[phi._conclusion_index[i]], self._premise_names(i)
+            else:
+                raise UnknownElement(f"{label!r} is not a label of this signature")
+            self._decoded[label] = entry
+        return entry
 
     @cached_property
     def _slots(self) -> tuple[Signature, dict[str, str]]:
@@ -101,15 +122,8 @@ class ProofSignature:
     def kind_of(self, label: str) -> tuple[str, object]:
         """(RULE, rule index) or (ASSUME, element name) for a label: the
         inverse of rule_label on rule labels."""
-        if label in self.phi.carrier._index:
-            return ASSUME, label
-        digits = label[4:].rstrip("_") if isinstance(label, str) and label.startswith("rule") else ""
-        # ASCII digits only, and no longer than the largest index, before int() reads them
-        if digits.isascii() and digits.isdigit() and len(digits) <= len(str(len(self.phi._masks))):
-            index = int(digits)
-            if index < len(self.phi._masks) and self.rule_label(index) == label:
-                return RULE, index
-        raise UnknownElement(f"{label!r} is not a label of this signature")
+        index, conclusion, _ = self._decode(label)
+        return (ASSUME, conclusion) if index is None else (RULE, index)
 
     def slot_target(self, slot: str) -> str:
         """The premise element a rule node's slot must conclude."""
@@ -136,11 +150,8 @@ def build_proof_signature(phi: InductiveDefinition) -> ProofSignature:
 
 
 def conc(psig: ProofSignature, w: WTree) -> str:
-    """The conclusion of a derivation, by case distinction on the root."""
-    kind, payload = psig.kind_of(w.label)
-    if kind == ASSUME:
-        return payload  # type: ignore[return-value]
-    return psig.phi.carrier.names[psig.phi._conclusion_index[payload]]  # type: ignore[index]
+    """The conclusion of a derivation: the root's element, or its rule's."""
+    return psig._decode(w.label)[1]
 
 
 def ass(psig: ProofSignature, w: WTree) -> Subset:
@@ -153,9 +164,9 @@ def ass(psig: ProofSignature, w: WTree) -> Subset:
     carrier = psig.phi.carrier
     bits = 0
     for node in distinct_nodes(w):
-        kind, payload = psig.kind_of(node.label)
-        if kind == ASSUME:
-            bits |= 1 << carrier.index(payload)  # type: ignore[arg-type]
+        index, element, _ = psig._decode(node.label)
+        if index is None:
+            bits |= 1 << carrier.index(element)
     return Subset(carrier, bits)
 
 
@@ -164,18 +175,18 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
 
     Well-formed at a rule node: the child sitting in the slot for
     premise b concludes exactly b. Assumption leaves are always
-    well-formed. Total: structurally invalid trees return False. Each
-    shared node is checked once.
+    well-formed. Total: any other tree, foreign labels and children that
+    are not trees included, gives False. Each shared node is checked once.
     """
-    for node in distinct_nodes(w):  # children first, so conc only reads labels already checked
+
+    def step(node: WTree, conclusions: list[str | None]) -> str | None:  # None: ill-formed here or below
         try:
-            kind, payload = psig.kind_of(node.label)
+            _, conclusion, premises = psig._decode(node.label if isinstance(node, WTree) else None)
         except UnknownElement:
-            return False
-        premises = psig._premise_names(payload) if kind == RULE else []  # type: ignore[arg-type]
-        if len(node.children) != len(premises) or any(conc(psig, c) != p for p, c in zip(premises, node.children)):
-            return False
-    return True
+            return None
+        return conclusion if tuple(conclusions) == premises else None
+
+    return share_fold(w, step, lambda node: node.children if isinstance(node, WTree) else ()) is not None
 
 
 def _derivation(
@@ -326,36 +337,38 @@ def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
     A node the proof shares gives one shared dict; the document is ==
     to the expanded one and serializes to the same text."""
 
-    def children(node: WTree) -> tuple[WTree, ...]:
-        kind, payload = psig.kind_of(node.label)
-        return node.children[: psig.phi._masks[payload].bit_count()] if kind == RULE else ()  # type: ignore[index]
-
     def step(node: WTree, docs: list[dict]) -> dict:
-        kind, payload = psig.kind_of(node.label)
-        if kind == ASSUME:
-            return {"kind": "assume", "element": payload}
-        premises = psig._premise_names(payload)  # type: ignore[arg-type]
-        return {"kind": "rule", "rule": payload, "children": dict(zip(premises, docs))}
+        index, conclusion, premises = psig._decode(node.label)
+        if index is None:
+            return {"kind": "assume", "element": conclusion}
+        return {"kind": "rule", "rule": index, "children": dict(zip(premises, docs))}
 
-    return share_fold(w, step, children)
+    return share_fold(w, step, lambda node: node.children[: len(psig._decode(node.label)[2])])
 
 
 def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
     """The derivation a proof_to_json document describes, each node
-    checked as a recursive reading would check it: its kind on the way
-    down, its rule application once its children are built. A dict the
-    document shares gives one shared node."""
+    checked as a recursive reading would check it: its shape (else
+    SchemaError) and kind on the way down, its rule application once
+    its children are built. A dict the document shares gives one shared
+    node."""
 
     def children(node: dict) -> list[dict]:
+        if not isinstance(node, dict):
+            raise SchemaError("a proof node must be an object")
         kind = node.get("kind")
         if kind not in ("rule", "assume"):
             raise UnknownElement(f"unknown node kind {kind!r}")
+        if kind == "assume" and not isinstance(node.get("element"), str):
+            raise SchemaError("an assume node's 'element' must be a string")
+        if kind == "rule" and (type(node.get("rule")) is not int or not isinstance(node.get("children", {}), dict)):
+            raise SchemaError("a rule node's 'rule' must be an integer (not a bool) and its 'children' an object")
         return list(node.get("children", {}).values()) if kind == "rule" else []
 
     def step(node: dict, trees: list[WTree]) -> WTree:
         if node["kind"] == "assume":
             return psig.assumption(node["element"])
-        return psig.rule_app(int(node["rule"]), dict(zip(node.get("children", {}), trees)))
+        return psig.rule_app(node["rule"], dict(zip(node.get("children", {}), trees)))
 
     return share_fold(data, step, children)
 
@@ -365,11 +378,10 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     assumption leaves drawn as boxes."""
 
     def describe(node: WTree) -> tuple[str, str, list[tuple[str, WTree]]]:
-        kind, payload = psig.kind_of(node.label)
-        if kind == ASSUME:
-            return "shape=box, ", payload, []  # type: ignore[return-value]
-        premises = psig._premise_names(payload)  # type: ignore[arg-type]
-        return "", f"{node.label} => {conc(psig, node)}", list(zip(premises, node.children))
+        index, conclusion, premises = psig._decode(node.label)
+        if index is None:
+            return "shape=box, ", conclusion, []
+        return "", f"{node.label} => {conclusion}", list(zip(premises, node.children))
 
     return _dot("proof", w, describe)
 
@@ -384,17 +396,11 @@ def render_proof(psig: ProofSignature, w: WTree) -> str:
         node, pad = stack.pop()
         text = texts.get(node.label)
         if text is None:
-            kind, payload = psig.kind_of(node.label)
-            if kind == ASSUME:
-                text = f"{payload}  [assumed]"
-            else:
-                premises = ", ".join(psig._premise_names(payload))  # type: ignore[arg-type]
-                conclusion = conc(psig, node)
-                text = f"{conclusion}  [{node.label}: {{{premises}}} -> {conclusion}]"
-            texts[node.label] = text
+            index, conclusion, premises = psig._decode(node.label)
+            how = "assumed" if index is None else f"{node.label}: {{{', '.join(premises)}}} -> {conclusion}"
+            text = texts[node.label] = f"{conclusion}  [{how}]"
         lines.append(pad + text)
         pad += "  "
         for child in reversed(node.children):
             stack.append((child, pad))
     return "\n".join(lines)
-

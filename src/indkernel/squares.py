@@ -149,19 +149,23 @@ def check_covering_square(sq: Square) -> bool:
     return covering_report(sq)["holds"]
 
 
-def _surjection_blocks(targets: int, bound: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+def _surjection_blocks(targets: int, bound: int, prefix: str = "e") -> Iterator[tuple[tuple, list[int], list[str]]]:
     """The canonical surjections onto targets elements with at most bound
     domain elements: their fiber sizes (k_1 .. k_targets), every k >= 1,
     in lexicographic order (the last entry grows first; once the sum
     reaches the bound, trailing entries fall back to 1 and the entry to
-    their left grows), and the first domain index of each block, then
-    the domain size. The domain fills the blocks in order."""
+    their left grows), each block's first domain index, then the domain
+    size, and one list prefix0, prefix1, ... grown only to the largest
+    domain so far, whose first (domain size) names fill the blocks."""
     if targets > bound:
         return
     sizes = [1] * targets
     total = targets
+    names = [f"{prefix}{i}" for i in range(targets)]
     while True:
-        yield tuple(sizes), list(accumulate(sizes, initial=0))
+        if total > len(names):  # one more, as the total grows by one per step
+            names.append(f"{prefix}{total - 1}")
+        yield tuple(sizes), list(accumulate(sizes, initial=0)), names
         i = targets - 1
         while i >= 0 and total == bound:
             total -= sizes[i] - 1
@@ -173,23 +177,18 @@ def _surjection_blocks(targets: int, bound: int) -> Iterator[tuple[tuple[int, ..
         total += 1
 
 
-def _surjection_doc(names: list[str], targets: Sequence, sizes: tuple[int, ...], starts: list[int]) -> dict:
+def _surjection_doc(targets: Sequence, sizes: tuple[int, ...], starts: list[int], names: list[str]) -> dict:
     """The {"domain", "map"} document of a canonical surjection whose
     domain is the first starts[-1] of names, each block sent to its target."""
     domain = names[: starts[-1]]
     return {"domain": domain, "map": dict(zip(domain, chain.from_iterable(map(repeat, targets, sizes))))}
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(n)]
-
-
 def surjections_onto(target: Carrier, bound: int) -> Iterator[FinMap]:
     """Canonical surjections E ->> target with |E| <= bound, one per
     fiber-size tuple; E is e0, e1, ..., assigned in blocks."""
-    names = _names("e", bound)
-    for sizes, starts in _surjection_blocks(len(target), bound):
-        doc = _surjection_doc(names, range(len(target)), sizes, starts)
+    for blocks in _surjection_blocks(len(target), bound):
+        doc = _surjection_doc(range(len(target)), *blocks)
         yield FinMap(Carrier(tuple(doc["domain"])), target, tuple(doc["map"].values()))
 
 
@@ -213,7 +212,6 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
         bound = default_square_bound(sq)
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    e_names: list[str] = []  # made for the first witness that names an element of E
     witnesses: list[dict] = []
     skipped: list[dict] = []
     for a, fiber_b, over_a in zip(sq.A.names, sq.f._fibers, sq.p._fibers):
@@ -234,13 +232,12 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
                 "skipped": skipped,
             }
         if record:
-            e_names = e_names or _names("e", bound if fiber_b else 0)
             d_over = sq.g._fibers[over_a[0]]
             blocks = [fiber_b.index(sq.q.table[di]) for di in d_over]
             d_names = [sq.D.name(di) for di in d_over]
             c = sq.C.name(over_a[0])
             onto = len(set(blocks)) == len(fiber_b)
-            for sizes, starts in _surjection_blocks(len(fiber_b), bound):
+            for sizes, starts, e_names in _surjection_blocks(len(fiber_b), bound):
                 witnesses.append(
                     {
                         "a": a,
@@ -329,21 +326,19 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
         raise InvalidValue("bound must be at least the size of the base")
     base = fam.base.names
     if not fam.members:
-        first = next(_surjection_blocks(len(base), len(base)))
         return {
             "holds": False,
             "bound": bound,
-            "counterexample": _surjection_doc(_names("y", len(base)), base, *first),
+            "counterexample": _surjection_doc(base, *next(_surjection_blocks(len(base), len(base), "y"))),
             "witnesses": [],
         }
     witnesses: list[dict] = []
     if record:
         member = fam.members[0]
-        y_names = _names("y", bound if base else 0)  # over an empty base no witness names an element
-        for sizes, starts in _surjection_blocks(len(base), bound):
+        for sizes, starts, y_names in _surjection_blocks(len(base), bound, "y"):
             witnesses.append(
                 {
-                    "surjection": _surjection_doc(y_names, base, sizes, starts),
+                    "surjection": _surjection_doc(base, sizes, starts, y_names),
                     "member": 0,
                     "factor": dict(zip(member.dom.names, [y_names[starts[x]] for x in member.table])),
                 }
@@ -373,7 +368,6 @@ def collection_family_report(
         raise InvalidValue("bound must be at least 1")
     witnesses: list[dict] = []
     if record:
-        e_names = _names("e", bound if any(ys) else 0)  # onto empty carriers no witness names an element
         refining: dict[int, int] = {}
         for i, target in enumerate(ys):
             n = len(target)
@@ -381,11 +375,11 @@ def collection_family_report(
                 refining[n] = next(j for j, y in enumerate(ys) if (len(y) >= n if n else not len(y)))
             source = ys[refining[n]]
             rest = ["e0"] * (len(source) - n)
-            for sizes, starts in _surjection_blocks(n, bound):
+            for sizes, starts, e_names in _surjection_blocks(n, bound):
                 witnesses.append(
                     {
                         "index": i,
-                        "surjection": _surjection_doc(e_names, target.names, sizes, starts),
+                        "surjection": _surjection_doc(target.names, sizes, starts, e_names),
                         "refining_index": refining[n],
                         "factor": dict(zip(source.names, [e_names[s] for s in starts[:n]] + rest)),
                     }

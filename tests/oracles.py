@@ -288,20 +288,35 @@ def tree_depth_by_recursion(tree: WTree) -> int:
 
 def well_formed_everywhere(psig: ProofSignature, tree: WTree) -> bool:
     """Direct recursive reading of 'it and all its subtrees are
-    well-formed', independent of is_proof's single-pass scan."""
-    from indkernel.proofs import RULE, conc
+    well-formed', independent of is_proof's single-pass scan and of the
+    signature's label decoder: the labels are decoded here from the
+    public rules and the documented scheme, rule i being "rule<i>" plus
+    underscores until the label misses every element name."""
+    phi = psig.phi
+    rules = {}
+    for i, rule in enumerate(phi.rules):
+        label = f"rule{i}"
+        while label in phi.carrier.names:
+            label += "_"
+        rules[label] = rule
 
-    kind, payload = psig.kind_of(tree.label)
-    if kind == RULE:
-        premises = psig.phi.rules[payload].premises.names()  # the public rules, in slot order
-        if len(premises) != len(tree.children):
+    def conclusion(node) -> str | None:
+        label = node.label if isinstance(node, WTree) and isinstance(node.label, str) else None
+        if label in phi.carrier.names:
+            return label
+        return rules[label].conclusion if label in rules else None
+
+    def well_formed(node) -> bool:
+        if conclusion(node) is None:
             return False
-        for premise, child in zip(premises, tree.children):
-            if conc(psig, child) != premise:
-                return False
-    elif tree.children:
-        return False
-    return all(well_formed_everywhere(psig, child) for child in tree.children)
+        premises = rules[node.label].premises.names() if node.label in rules else ()  # in slot order
+        if len(premises) != len(node.children):
+            return False
+        if any(conclusion(child) != premise for premise, child in zip(premises, node.children)):
+            return False
+        return all(well_formed(child) for child in node.children)
+
+    return well_formed(tree)
 
 
 def subset_names_by_scan(carrier: Carrier, bits: int) -> tuple[str, ...]:

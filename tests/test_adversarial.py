@@ -27,11 +27,13 @@ from indkernel.finite import Subset
 from indkernel.inddef import closure_stages
 from indkernel.jsonio import dumps
 from indkernel.proofs import (
+    ProofSignature,
     ass,
     build_proof_signature,
     characterize,
     is_proof,
     proof_from_json,
+    proof_to_dot,
     proof_to_json,
     render_proof,
     synthesize_proof,
@@ -159,6 +161,41 @@ class TestLadder30:
     def test_cli_witness(self, capsys):
         assert run_command(["witness", str(LADDER)]) == 0
         assert capsys.readouterr().out == "{x0, y0}\n"
+
+
+def ladder(rungs):
+    """A ladder rule file like ladder30.rules, with the given number of rungs."""
+    lines = ["set " + " ".join(f"x{k} y{k}" for k in range(rungs))]
+    lines += [f"rule x{k} y{k} -> {v}{k + 1}" for k in range(rungs - 1) for v in "xy"]
+    return definition_from_ast(parse_rule_file("\n".join([*lines, "seed x0 y0", f"goal x{rungs - 1}"]) + "\n"))
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(lambda: load(CHAIN), (ass, is_proof, proof_to_json, proof_to_dot, render_proof))],
+        [(lambda: load(LADDER), (ass, is_proof, proof_to_json)), (lambda: ladder(6), (proof_to_dot, render_proof))],
+    ],
+    ids=["chain2000", "ladder30"],
+)
+def test_each_rule_label_is_decoded_once_per_signature(cases, monkeypatch):
+    """On a fresh signature, running each walk twice over a synthesized
+    proof reads each of its rules' premises once. The ladder's text and
+    DOT renderings, one line or node per tree position, run on a ladder
+    of 6 rungs instead: they double in size per rung."""
+    decode = ProofSignature._premise_names
+    for make, walks in cases:
+        phi, seed, goal = make()
+        proof = synthesize_proof(phi, seed, goal)
+        rules = {node.label for node in distinct_nodes(proof)} - set(phi.carrier.names)
+        psig = ProofSignature(phi)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ProofSignature, "_premise_names", lambda self, i: calls.append(i) or decode(self, i))
+            for _ in range(2):
+                for walk in walks:
+                    walk(psig, proof)
+        assert sorted(calls) == sorted(int(label.removeprefix("rule")) for label in rules)
 
 
 def cap_address_space():

@@ -3,8 +3,9 @@ they check: they import nothing from the parser and name none of the
 engine's private helpers, nor its enumeration of surjections, nor its
 tree folds, nor a map's preimage table or the onto check that reads it,
 nor the rule store's columns, its columns constructor, its rules by
-conclusion or the proof signature's premise decoder: the oracles read
-a definition through its public rules."""
+conclusion, nor the proof signature's premise and label decoders or
+kind_of and conc, which read them: the oracles read a definition
+through its public rules and decode labels on their own."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,10 @@ ENGINE_INTERNALS = {
     "_derivation",
     "_premise_index",
     "_premise_names",
+    "_decode",
+    "_decoded",
+    "kind_of",
+    "conc",
     "_masks",
     "_by_conclusion",
     "_from_columns",
@@ -59,6 +64,9 @@ def test_the_guard_sees_each_kind_of_tie():
     assert engine_ties("from indkernel.inddef import _staged_pass") == {"_staged_pass"}
     assert engine_ties("x = phi._premise_index") == {"_premise_index"}
     assert engine_ties("psig._premise_names(0)") == {"_premise_names"}
+    assert engine_ties("from indkernel.proofs import conc\npsig.kind_of(l), psig._decode(l), psig._decoded") == {
+        "conc", "kind_of", "_decode", "_decoded"
+    }
     assert engine_ties("m = phi._masks[0]") == {"_masks"}
     assert engine_ties("for ri in phi._by_conclusion[x]: pass") == {"_by_conclusion"}
     assert engine_ties("InductiveDefinition._from_columns(c, [], [])") == {"_from_columns"}

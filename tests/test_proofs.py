@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indkernel.cli import run_command
-from indkernel.errors import ArityMismatch, UnknownElement
+from indkernel.errors import ArityMismatch, SchemaError, UnknownElement
 from indkernel.finite import Carrier, Subset
 from indkernel.inddef import InductiveDefinition, Rule, closure, closure_stages, naive_closure_oracle
 from indkernel.gen import InstanceSpec, random_definition
@@ -334,6 +334,28 @@ class TestIsProof:
             psig.rule_app(0, {"a": psig.assumption("a"), "b": psig.assumption("b")})
 
 
+class TestTotality:
+    @pytest.mark.parametrize("label", [["a"], {"rule0": 0}, ["rule0"]], ids=["list", "dict", "rule-list"])
+    def test_a_label_that_is_not_a_string_is_unknown(self, label):
+        """kind_of, conc and ass raise UnknownElement for it, not the
+        TypeError of using it as a key, and is_proof says False."""
+        psig = ProofSignature(ONE_RULE)
+        for read in (psig.kind_of, lambda x: conc(psig, WTree(x)), lambda x: ass(psig, WTree(x))):
+            with pytest.raises(UnknownElement, match="is not a label of this signature"):
+                read(label)
+        assert not is_proof(psig, WTree(label))
+        assert not is_proof(psig, WTree("rule0", (WTree(label),)))
+
+    @pytest.mark.parametrize(
+        "child", ["a", None, ("a",), {"kind": "assume", "element": "a"}], ids=["str", "none", "tuple", "dict"]
+    )
+    def test_a_child_that_is_not_a_tree_is_no_proof(self, child):
+        psig = ProofSignature(ONE_RULE)
+        assert is_proof(psig, WTree("rule0", (WTree("a"),)))
+        assert not is_proof(psig, WTree("rule0", (child,)))
+        assert not is_proof(psig, child)
+
+
 class TestSynthesizeProof:
     def test_goal_already_assumed(self):
         phi = defn(AB)
@@ -618,6 +640,35 @@ def test_proof_from_json_reports_the_first_of_two_faults(doc, error, message):
     with pytest.raises(error) as caught:
         proof_from_json(build_proof_signature(PAIR), doc)
     assert str(caught.value) == message
+
+
+A_LEAF = {"kind": "assume", "element": "a"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "rule", "rule": 1.9, "children": {"a": A_LEAF}},
+        {"kind": "rule", "rule": "1", "children": {"a": A_LEAF}},
+        {"kind": "rule", "rule": True, "children": {"a": A_LEAF}},
+        {"kind": "rule", "children": {"a": A_LEAF}},
+        [A_LEAF],
+        {"kind": "rule", "rule": 1, "children": {"a": [A_LEAF]}},
+        {"kind": "rule", "rule": 1, "children": [A_LEAF]},
+        {"kind": "assume", "element": ["a"]},
+        {"kind": "assume", "element": 5},
+        {"kind": "assume"},
+    ],
+    ids=["float-index", "string-index", "bool-index", "no-index", "list-node", "list-child", "list-children",
+         "list-element", "int-element", "no-element"],
+)
+def test_proof_from_json_reads_only_its_own_schema(doc):
+    """Each of these is well-formed but for one field of the wrong type,
+    or missing; rule 1 of PAIR concludes b from a."""
+    with pytest.raises(SchemaError):
+        proof_from_json(build_proof_signature(PAIR), doc)
+    fixed = {"kind": "rule", "rule": 1, "children": {"a": A_LEAF}}
+    assert is_proof(build_proof_signature(PAIR), proof_from_json(build_proof_signature(PAIR), fixed))
 
 
 class TestRendering:
