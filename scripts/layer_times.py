@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Time each layer of a one-shot rule-file run at three sizes.
+"""Time each layer of a one-shot rule-file run at four sizes.
 
 The layers are parse (parse_rule_file), build (definition_from_ast),
-closure, cold synthesize_proof (a fresh definition and an empty proof
+load (the CLI's cli._load_problem on the rule file: read, then the
+fused reader, or parse and build in a tree without one), closure,
+cold synthesize_proof (a fresh definition and an empty proof
 signature cache, as in a one-shot CLI run), cold witness, render_proof
 of that proof, cold build_proof_signature, and is_proof and the
 proof_from_json(proof_to_json(...)) round trip of that proof, each on
 a fresh ProofSignature, as a one-shot check of a proof runs. The
 inputs are seeded random systems from bench/inputs.py: n elements and
-5n rules of 0-3 premises, at n = 2.5k, 5k and 10k, a seed of about 2%
-of the elements and a goal from the last closure stage. Each time is the minimum of five runs. Each
-layer also gets its growth exponent log2(t(2n) / t(n)) for each
-doubling of n; 1 means linear.
+5n rules of 0-3 premises, at n = 1k (the largest size of the
+benchmark's rules-cli files), 2.5k, 5k and 10k, a seed of about 2% of
+the elements and a goal from the last closure stage. Each time is the
+minimum of five rounds, each of which runs every layer in turn. Each
+layer also gets its growth exponent log(t(m) / t(n)) / log(m / n)
+between consecutive sizes n < m; 1 means linear.
 
 The warm walks (ass, is_proof, proof_to_json, render_proof and
 proof_to_dot) run over the synthesized proof of the last element of a
@@ -35,42 +39,54 @@ import json
 import math
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (2500, 5000, 10000)
+SIZES = (1000, 2500, 5000, 10000)
 SEED = 7
 REPEAT = 5
 WALKS = ("ass", "is_proof", "proof_to_json", "render_proof", "proof_to_dot")
 WALK_INPUTS = {"chain500": ("chain", 500, 1), "ladder14": ("ladder", 14, 2)}  # generator, size, seed elements
 WALK_REPEAT = 20
 LAYERS = (
-    "parse", "build", "closure", "synthesize_proof", "witness", "render_proof",
+    "parse", "build", "load", "closure", "synthesize_proof", "witness", "render_proof",
     "build_proof_signature", "is_proof", "json_round_trip",
 )
 
 
-def best_of(run, prepare=lambda: None, repeat: int = REPEAT) -> float:
-    """The least wall time of run(prepare()) over repeat tries; prepare is untimed."""
-    best = math.inf
+def best_of_each(runs: dict, repeat: int = REPEAT) -> dict[str, float]:
+    """The least wall time of each run(prepare()) in runs (name -> (run,
+    prepare)) over repeat rounds; prepare is untimed. Each round takes
+    every run in turn, so a swing in machine speed hits them alike and
+    their ratios hold."""
+    best = dict.fromkeys(runs, math.inf)
     for _ in range(repeat):
-        arg = prepare()
-        start = time.perf_counter()
-        run(arg)
-        best = min(best, time.perf_counter() - start)
+        for name, (run, prepare) in runs.items():
+            arg = prepare()
+            start = time.perf_counter()
+            run(arg)
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
-def time_layers(n: int) -> dict[str, float]:
+def best_of(run, prepare=lambda: None, repeat: int = REPEAT) -> float:
+    """The least wall time of run(prepare()) over repeat tries."""
+    return best_of_each({"": (run, prepare)}, repeat)[""]
+
+
+def time_layers(n: int, work: Path) -> dict[str, float]:
     import inputs
-    from indkernel import dsl, inddef, proofs
+    from indkernel import cli, dsl, inddef, proofs
 
     rng = Random(f"{SEED}:{n}")
     names, rules = inputs.random_system(rng, n, 5 * n)
     start = inputs.random_seed(rng, names)
     text = inputs.rule_file(names, rules, start)
+    path = work / f"random{n}.rules"
+    path.write_text(text)
     ast = dsl.parse_rule_file(text)
     phi, u, _ = dsl.definition_from_ast(ast)
     stages = inddef.closure_stages(phi, u)
@@ -83,19 +99,21 @@ def time_layers(n: int) -> dict[str, float]:
 
     proof = proofs.synthesize_proof(phi, u, goal)
     psig = proofs.build_proof_signature(phi)
-    times = {
-        "parse": best_of(lambda _: dsl.parse_rule_file(text)),
-        "build": best_of(lambda _: dsl.definition_from_ast(ast)),
-        "closure": best_of(lambda _: inddef.closure(phi, u)),
-        "synthesize_proof": best_of(lambda p: proofs.synthesize_proof(p, u, goal), fresh),
-        "witness": best_of(lambda p: proofs.witness(p, u, goal), fresh),
-        "render_proof": best_of(lambda _: proofs.render_proof(psig, proof)),
-        "build_proof_signature": best_of(proofs.build_proof_signature, fresh),
-        "is_proof": best_of(lambda s: proofs.is_proof(s, proof), lambda: proofs.ProofSignature(phi)),
-        "json_round_trip": best_of(
+    nothing = lambda: None
+    times = best_of_each({
+        "parse": (lambda _: dsl.parse_rule_file(text), nothing),
+        "build": (lambda _: dsl.definition_from_ast(ast), nothing),
+        "load": (lambda _: cli._load_problem(str(path)), nothing),
+        "closure": (lambda _: inddef.closure(phi, u), nothing),
+        "synthesize_proof": (lambda p: proofs.synthesize_proof(p, u, goal), fresh),
+        "witness": (lambda p: proofs.witness(p, u, goal), fresh),
+        "render_proof": (lambda _: proofs.render_proof(psig, proof), nothing),
+        "build_proof_signature": (proofs.build_proof_signature, fresh),
+        "is_proof": (lambda s: proofs.is_proof(s, proof), lambda: proofs.ProofSignature(phi)),
+        "json_round_trip": (
             lambda s: proofs.proof_from_json(s, proofs.proof_to_json(s, proof)), lambda: proofs.ProofSignature(phi)
         ),
-    }
+    })
     proofs.build_proof_signature.cache_clear()
     return times
 
@@ -127,11 +145,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
 
-    by_size = {n: time_layers(n) for n in SIZES}
+    with tempfile.TemporaryDirectory() as work:
+        by_size = {n: time_layers(n, Path(work)) for n in SIZES}
     growth = {
         layer: {
-            f"{n}->{2 * n}": round(math.log2(by_size[2 * n][layer] / by_size[n][layer]), 3)
-            for n in SIZES[:-1]
+            f"{n}->{m}": round(math.log(by_size[m][layer] / by_size[n][layer]) / math.log(m / n), 3)
+            for n, m in zip(SIZES, SIZES[1:])
         }
         for layer in LAYERS
     }
@@ -141,6 +160,12 @@ def main(argv=None) -> int:
         print(f"{layer:22s}{cells}  " + " ".join(f"{g:.2f}" for g in growth[layer].values()))
     big = SIZES[-1]
     print(f"build / parse at {big}/{5 * big}: {by_size[big]['build'] / by_size[big]['parse']:.2f}")
+    for n in SIZES:
+        t = by_size[n]
+        print(
+            f"load / (parse + build) at {n}/{5 * n}: {t['load'] / (t['parse'] + t['build']):.2f}; "
+            f"load / closure: {t['load'] / t['closure']:.2f}"
+        )
     walks = time_walks()
     print(f"{'warm walk':22s}" + "".join(f"{name:>14s}" for name in WALK_INPUTS))
     for walk in WALKS:

@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(path: str):
-    ast = dsl.parse_rule_file(jsonio.read_text(path))
-    return dsl.definition_from_ast(ast)
+    text = jsonio.read_text(path)
+    return dsl._read_problem(text)
 
 
 def _pick_goal(args, file_goal: str | None) -> str:

@@ -14,6 +14,14 @@ column. emit() prints the canonical form (one set line, rules in
 declaration order, seed then goal last); parsing it back yields an
 identical AST, and on canonical files the round trip is the identity
 on bytes as well.
+
+The CLI loads a file with _read_problem. A file whose every line has
+a plain shape goes straight into the rule store's columns, one
+str.split per line and one dict lookup per name, with no AST. Any
+other file (a comment, a glued arrow, an undeclared name or keyword,
+a repeated goal, a stray character) goes whole to parse_rule_file, so
+every error is the parser's own, with its message, line, column and
+expected tokens; the two read a plain file into the same rules.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ from .topology import CoverPresentation
 
 KEYWORDS = ("set", "rule", "axiom", "seed", "goal")
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # A name or an arrow (group 1), else one stray non-space character,
 # which is either the start of a comment or an error.
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|->|<-)|\S")
+_TOKEN = re.compile(rf"({_NAME.pattern}|->|<-)|\S")
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,77 @@ def definition_from_ast(ast: RuleFileAST) -> tuple[InductiveDefinition, Subset, 
     rule, the seed subset (empty if no seed line), and the goal."""
     carrier, masks, conclusions, seed = _columns(ast)
     return InductiveDefinition._from_columns(carrier, masks, conclusions), seed, ast.goal
+
+
+def _plain_columns(text: str) -> tuple[Carrier, list[int], list[int], Subset, str | None] | None:
+    """_columns of the file and its goal, read with one str.split per
+    line and one dict lookup per name, if every line has a plain shape;
+    None at the first line that has not.
+
+    Plain: a blank line; set with new names that are not keywords; rule
+    with declared names and '->' second to last; axiom with a declared
+    open and '<-' third; seed with declared names; the first goal, with
+    one declared name. A word that is not a declared name (a comment, a
+    glued arrow, a stray character) misses the lookup. str.split and
+    the tokenizer's \\S agree on blanks, so parse_rule_file reads a
+    plain file into the same rules.
+    """
+    names: list[str] = []
+    index: dict[str, int] = {}
+    bit: dict[str, int] = {}
+    masks: list[int] = []
+    conclusions: list[int] = []
+    seed = 0
+    goal = None
+    try:
+        for line in text.splitlines():
+            words = line.split()
+            if not words:
+                continue
+            head = words[0]
+            if head == "rule" and len(words) > 2 and words[-2] == "->":
+                premises, conclusion = words[1:-2], words[-1]
+            elif head == "axiom" and len(words) > 2 and words[2] == "<-":
+                premises, conclusion = words[3:], words[1]
+            elif head == "set" and len(words) > 1:
+                for name in words[1:]:
+                    if name in index or name in KEYWORDS or not _NAME.fullmatch(name):
+                        return None
+                    bit[name] = 1 << len(names)
+                    index[name] = len(names)
+                    names.append(name)
+                continue
+            elif head == "seed":
+                for name in words[1:]:
+                    seed |= bit[name]
+                continue
+            elif head == "goal" and len(words) == 2 and goal is None and words[1] in index:
+                goal = words[1]
+                continue
+            else:
+                return None
+            mask = 0
+            for name in premises:
+                mask |= bit[name]
+            masks.append(mask)
+            conclusions.append(index[conclusion])
+    except KeyError:  # an undeclared name, or a word that is no name
+        return None
+    carrier = Carrier(tuple(names))
+    return carrier, masks, conclusions, Subset(carrier, seed), goal
+
+
+def _read_problem(text: str) -> tuple[InductiveDefinition, Subset, str | None]:
+    """definition_from_ast(parse_rule_file(text)), with the same result,
+    warnings and errors, and no AST when every line is plain. Any other
+    file goes whole to parse_rule_file, so every error is its error."""
+    read = _plain_columns(text)
+    if read is None:
+        ast = parse_rule_file(text)
+        read = *_columns(ast), ast.goal
+    carrier, masks, conclusions, seed, goal = read
+    # called here, so a duplicate-rule warning names this function's caller
+    return InductiveDefinition._from_columns(carrier, masks, conclusions), seed, goal
 
 
 def presentation_from_ast(ast: RuleFileAST) -> tuple[CoverPresentation, Subset, str | None]:

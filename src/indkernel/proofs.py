@@ -42,7 +42,7 @@ from typing import Mapping
 from .errors import SchemaError, UnknownElement
 from .finite import Carrier, Subset, members
 from .inddef import InductiveDefinition, _check_seed, _staged_pass, closure_stages
-from .wtree import Signature, WTree, _dot, check_keys, distinct_nodes, share_fold
+from .wtree import Signature, WTree, _dot, check_keys, share_fold
 
 RULE = "rule"
 ASSUME = "assume"
@@ -149,9 +149,21 @@ def build_proof_signature(phi: InductiveDefinition) -> ProofSignature:
     return ProofSignature(phi)
 
 
+def _entry(psig: ProofSignature, node: object) -> tuple[int | None, str, tuple[str, ...]]:
+    """psig._decode of a node's label; a node that is not a tree is unknown."""
+    if not isinstance(node, WTree):
+        raise UnknownElement(f"{node!r} is not a tree")
+    return psig._decode(node.label)
+
+
+def _children(node: object) -> tuple:
+    """A node's children; one that is not a tree has none, and _entry rejects it."""
+    return node.children if isinstance(node, WTree) else ()
+
+
 def conc(psig: ProofSignature, w: WTree) -> str:
     """The conclusion of a derivation: the root's element, or its rule's."""
-    return psig._decode(w.label)[1]
+    return _entry(psig, w)[1]
 
 
 def ass(psig: ProofSignature, w: WTree) -> Subset:
@@ -161,13 +173,15 @@ def ass(psig: ProofSignature, w: WTree) -> Subset:
     flattens to a scan over the assumption-labeled nodes, each shared
     node visited once.
     """
-    carrier = psig.phi.carrier
-    bits = 0
-    for node in distinct_nodes(w):
-        index, element, _ = psig._decode(node.label)
+    assumed: list[str] = []
+
+    def step(node: WTree, _: list) -> None:
+        index, element, _ = _entry(psig, node)
         if index is None:
-            bits |= 1 << carrier.index(element)
-    return Subset(carrier, bits)
+            assumed.append(element)
+
+    share_fold(w, step, _children)
+    return Subset.from_names(psig.phi.carrier, assumed)
 
 
 def is_proof(psig: ProofSignature, w: WTree) -> bool:
@@ -181,12 +195,12 @@ def is_proof(psig: ProofSignature, w: WTree) -> bool:
 
     def step(node: WTree, conclusions: list[str | None]) -> str | None:  # None: ill-formed here or below
         try:
-            _, conclusion, premises = psig._decode(node.label if isinstance(node, WTree) else None)
+            _, conclusion, premises = _entry(psig, node)
         except UnknownElement:
             return None
         return conclusion if tuple(conclusions) == premises else None
 
-    return share_fold(w, step, lambda node: node.children if isinstance(node, WTree) else ()) is not None
+    return share_fold(w, step, _children) is not None
 
 
 def _derivation(
@@ -343,7 +357,7 @@ def proof_to_json(psig: ProofSignature, w: WTree) -> dict:
             return {"kind": "assume", "element": conclusion}
         return {"kind": "rule", "rule": index, "children": dict(zip(premises, docs))}
 
-    return share_fold(w, step, lambda node: node.children[: len(psig._decode(node.label)[2])])
+    return share_fold(w, step, lambda node: _children(node)[: len(_entry(psig, node)[2])])
 
 
 def proof_from_json(psig: ProofSignature, data: dict) -> WTree:
@@ -378,7 +392,7 @@ def proof_to_dot(psig: ProofSignature, w: WTree) -> str:
     assumption leaves drawn as boxes."""
 
     def describe(node: WTree) -> tuple[str, str, list[tuple[str, WTree]]]:
-        index, conclusion, premises = psig._decode(node.label)
+        index, conclusion, premises = _entry(psig, node)
         if index is None:
             return "shape=box, ", conclusion, []
         return "", f"{node.label} => {conclusion}", list(zip(premises, node.children))
@@ -394,9 +408,10 @@ def render_proof(psig: ProofSignature, w: WTree) -> str:
     stack = [(w, "")]
     while stack:
         node, pad = stack.pop()
-        text = texts.get(node.label)
-        if text is None:
-            index, conclusion, premises = psig._decode(node.label)
+        try:
+            text = texts[node.label]
+        except (AttributeError, KeyError, TypeError):  # a label not met yet, or no tree
+            index, conclusion, premises = _entry(psig, node)
             how = "assumed" if index is None else f"{node.label}: {{{', '.join(premises)}}} -> {conclusion}"
             text = texts[node.label] = f"{conclusion}  [{how}]"
         lines.append(pad + text)

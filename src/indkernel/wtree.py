@@ -24,7 +24,7 @@ from operator import attrgetter
 from random import Random
 from typing import Callable, Collection, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import ArityMismatch, DuplicateName, EmptyWType, UnknownElement
+from .errors import ArityMismatch, DuplicateName, EmptyWType, SchemaError, UnknownElement
 from .finite import Carrier
 
 N = TypeVar("N")
@@ -232,10 +232,14 @@ def tree_to_json(sig: Signature, tree: WTree) -> dict:
 def tree_from_json(sig: Signature, data: dict) -> WTree:
     """The tree a tree_to_json document describes; each node is built
     with sup once its children are, as a recursive reading would. A
-    dict the document shares gives one shared node."""
+    node's shape is checked on the way down: a node or "children" that
+    is not an object, or a "label" that is not a string, raises
+    SchemaError. A dict the document shares gives one shared node."""
 
     def children(node: dict) -> list[dict]:
-        node["label"]  # a node without a label fails before its children
+        # a node without a label fails (KeyError) before its children
+        if not (isinstance(node, dict) and isinstance(node["label"], str) and isinstance(node.get("children", {}), dict)):
+            raise SchemaError("a tree node must be an object with a string 'label' and an object 'children'")
         return list(node.get("children", {}).values())
 
     def step(node: dict, trees: list[WTree]) -> WTree:

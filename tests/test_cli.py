@@ -1,9 +1,11 @@
 """End-to-end command tests: outputs, exit codes, file handling."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,21 @@ class TestProve:
         code, _, err = run(capsys, "prove", GOLDEN / "chain.rules", "--goal", "zz")
         assert code == 2
         assert "error:" in err
+
+
+    @pytest.mark.parametrize("head", ["", "# rules read by the full parser\n"], ids=["plain", "fallback"])
+    def test_duplicate_rule_warning_names_the_cli_load(self, head, capsys, tmp_path):
+        """The warning's text, and its location: the line of _load_problem
+        that reads the file, whichever path reads it."""
+        path = tmp_path / "dup.rules"
+        path.write_text(head + "set a b c\nrule a -> b\nrule c -> b\nrule a -> b\nseed a\n")
+        lines, start = inspect.getsourcelines(cli._load_problem)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(capsys, "close", path) == (0, "{a, b}\n", "")
+        assert [(w.category, str(w.message), w.filename, w.lineno) for w in record] == [
+            (UserWarning, "dropping duplicate rule {a} -> b", cli.__file__, start + len(lines) - 1)
+        ]
 
 
 class TestWitnessAndBasis:

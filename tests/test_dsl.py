@@ -1,5 +1,8 @@
 """Rule-file parsing, canonical printing, and AST translation."""
 
+import re
+import sys
+import warnings
 from random import Random
 
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from indkernel.dsl import (
     AstRule,
     RuleFileAST,
+    _plain_columns,
+    _read_problem,
     _tokenize,
     definition_from_ast,
     emit,
@@ -306,3 +311,69 @@ def test_parser_matches_the_whole_file_reference():
             assert (ast.names, rules, ast.seed, ast.goal) == want, text
             valid += 1
     assert 600 < valid < 2400  # both outcomes are exercised
+
+
+def bench_shaped_text(rng):
+    """A file shaped like the benchmark's: one set line over v0..v{n-1},
+    rules of 0-3 distinct premises, some repeated, then a seed line
+    (sometimes empty or missing) and usually a goal."""
+    names = [f"v{i}" for i in range(rng.randint(1, 40))]
+    rules = []
+    for _ in range(rng.randint(0, 5 * len(names))):
+        if rules and rng.random() < 0.05:
+            rules.append(rng.choice(rules))
+        else:
+            premises = rng.sample(names, rng.randint(0, min(3, len(names))))
+            rules.append(("rule " + " ".join(premises)).rstrip() + " -> " + rng.choice(names))
+    lines = ["set " + " ".join(names), *rules]
+    if rng.random() < 0.8:
+        lines.append(("seed " + " ".join(rng.sample(names, rng.randint(0, min(3, len(names)))))).rstrip())
+    if rng.random() < 0.8:
+        lines.append("goal " + rng.choice(names))
+    return lines
+
+
+def read_both(text):
+    """The fused reader's and parse + build's outcome on text: the
+    (definition, seed, goal) with the warning texts in order, or the
+    error's class, message, line, column and expected tokens."""
+    outcomes = []
+    for read in (_read_problem, lambda t: definition_from_ast(parse_rule_file(t))):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            try:
+                got = read(text)
+            except (DslError, DuplicateName) as err:
+                got = (type(err).__name__, str(err), err.line, err.column, getattr(err, "expected", ()))
+        outcomes.append((got, [str(w.message) for w in record]))
+    return outcomes
+
+
+def test_fused_reader_matches_parse_and_build():
+    """On bench-shaped files and on the seeded mutations of random rule
+    files (axiom lines, files with no seed line), the fused reader gives
+    parse + build's definition, seed, goal and duplicate-rule warnings,
+    or its error; both its plain path and its fallback are exercised."""
+    rng = Random(1111)
+    plain = fallback = warned = failed = 0
+    for case in range(3000):
+        lines = bench_shaped_text(rng) if case % 3 == 0 else random_rule_text(rng)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            lines = mutate(rng, lines)
+        text = "\n".join(lines)
+        fused, reference = read_both(text)
+        assert fused == reference, text
+        if _plain_columns(text) is None:
+            fallback += 1
+        else:
+            plain += 1
+        warned += bool(fused[1])
+        failed += isinstance(fused[0][0], str)  # an error's class name, not a definition
+    assert plain > 1200 and fallback > 800 and warned > 300 and failed > 700, (plain, fallback, warned, failed)
+
+
+def test_str_split_and_the_tokenizer_agree_on_blanks():
+    """The fused reader splits a line with str.split, the tokenizer skips
+    what \\S does not match: the same code points, every one of them."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert {c for c in chars if c.isspace()} == set(chars) - set(re.findall(r"\S", chars))

@@ -356,6 +356,14 @@ class TestTotality:
         assert not is_proof(psig, child)
 
 
+    @pytest.mark.parametrize("walk", [ass, proof_to_json, proof_to_dot, render_proof], ids=lambda f: f.__name__)
+    def test_a_child_that_is_not_a_tree_is_unknown_to_every_walk(self, walk):
+        psig = ProofSignature(ONE_RULE)
+        walk(psig, WTree("rule0", (WTree("a"),)))
+        with pytest.raises(UnknownElement, match="'a' is not a tree"):
+            walk(psig, WTree("rule0", ("a",)))
+
+
 class TestSynthesizeProof:
     def test_goal_already_assumed(self):
         phi = defn(AB)

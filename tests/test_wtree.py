@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indkernel.dsl import definition_from_ast, parse_rule_file
-from indkernel.errors import ArityMismatch, DuplicateName, EmptyWType, UnknownElement
+from indkernel.errors import ArityMismatch, DuplicateName, EmptyWType, SchemaError, UnknownElement
 from indkernel.proofs import synthesize_proof
 from indkernel.wtree import (
     Signature,
@@ -273,6 +273,20 @@ class TestSerialization:
         with pytest.raises(error) as caught:
             tree_from_json(BINARY, doc)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"label": "leaf"}],
+            {"label": "node", "children": [{"label": "leaf"}, {"label": "leaf"}]},
+            {"label": ["leaf"]},
+            {"label": "node", "children": {"lft": {"label": "leaf"}, "rgt": "leaf"}},
+        ],
+        ids=["list-node", "list-children", "unhashable-label", "string-child"],
+    )
+    def test_a_document_of_another_shape_is_a_schema_error(self, doc):
+        with pytest.raises(SchemaError):
+            tree_from_json(BINARY, doc)
 
     def test_dot_is_stable_and_names_slots(self):
         t = sup(UNARY, "a", {"s0": sup(UNARY, "b", {})})
