@@ -23,6 +23,16 @@ chain of 500 and of a 14-rung ladder (bench/inputs.py), on a signature
 that has walked that proof once already, as the library queries of a
 long-lived process do; each time is the minimum of 20 runs.
 
+The square and family layers run check-family's work on the carrier
+family of sizes 1..7 (bench/inputs.py) and on a seeded surjection
+family of base 7 with two members, at bounds 11, 13 and 15: the
+library report with its witness dicts (report, record=True), the CLI's
+text of the report from the loaded instance (write: the report's scan
+and jsonio.dumps_witnessed, or in a tree without that writer the
+recorded report and jsonio.dumps), and run_command end to end, stdout
+captured. Each time is the minimum of five rounds, and is also given
+per listed witness.
+
 The indkernel measured is the one under --src (the checkout's src/ by
 default), so two checkouts can be compared. The results are printed
 and merged into the JSON file --out under --label, next to the labels
@@ -35,6 +45,8 @@ already there, for a BENCH_*.json trajectory file:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import platform
@@ -51,6 +63,8 @@ REPEAT = 5
 WALKS = ("ass", "is_proof", "proof_to_json", "render_proof", "proof_to_dot")
 WALK_INPUTS = {"chain500": ("chain", 500, 1), "ladder14": ("ladder", 14, 2)}  # generator, size, seed elements
 WALK_REPEAT = 20
+FAMILY_BOUNDS = (11, 13, 15)
+FAMILY_LAYERS = ("report", "write", "run_command")
 LAYERS = (
     "parse", "build", "load", "closure", "synthesize_proof", "witness", "render_proof",
     "build_proof_signature", "is_proof", "json_round_trip",
@@ -137,6 +151,48 @@ def time_walks() -> dict[str, dict[str, float]]:
     return times
 
 
+def time_families(work: Path) -> dict[str, dict]:
+    import inputs
+    from indkernel import cli, jsonio, squares
+
+    docs = {
+        "carriers1-7": inputs.carrier_family(7),
+        "surjections7": inputs.surjection_family(Random(f"{SEED}:family"), 7, 2),
+    }
+    out = {}
+    for name, doc in docs.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        instance = jsonio.load_instance(path)
+        carriers = doc["kind"] == "carrier-family"
+        report = squares.collection_family_report if carriers else squares.amc_family_report
+        check = "indexed-refinement" if carriers else "every-surjection-factors"
+
+        if hasattr(jsonio, "dumps_witnessed"):
+            scan = squares._collection_family_scan if carriers else squares._amc_family_scan
+
+            def write(b):
+                head, plan = scan(instance, b)
+                return jsonio.dumps_witnessed({"kind": "family-report", "check": check, **head}, 1, plan)
+        else:  # a tree without the writer: the CLI dumped the recorded report
+
+            def write(b):
+                return jsonio.dumps({"kind": "family-report", "check": check, **report(instance, b, record=True)})
+
+        def run(b):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run_command(["check-family", str(path), "--bound", str(b)])
+
+        for b in FAMILY_BOUNDS:
+            times = best_of_each({
+                "report": (lambda _: report(instance, b, record=True), lambda: None),
+                "write": (lambda _: write(b), lambda: None),
+                "run_command": (lambda _: run(b), lambda: None),
+            })
+            out[f"{name}@{b}"] = {"witnesses": len(report(instance, b, record=True)["witnesses"]), "seconds": times}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the indkernel package")
@@ -171,6 +227,16 @@ def main(argv=None) -> int:
     for walk in WALKS:
         print(f"{walk:22s}" + "".join(f"{walks[walk][name] * 1e3:11.3f} ms" for name in WALK_INPUTS))
 
+    with tempfile.TemporaryDirectory() as work:
+        families = time_families(Path(work))
+    print(f"{'family@bound':22s}{'witnesses':>10s}" + "".join(f"{layer:>24s}" for layer in FAMILY_LAYERS))
+    for case, row in families.items():
+        cells = "".join(
+            f"{row['seconds'][layer] * 1e3:10.1f} ms {row['seconds'][layer] / row['witnesses'] * 1e6:6.1f} us/w"
+            for layer in FAMILY_LAYERS
+        )
+        print(f"{case:22s}{row['witnesses']:10d}{cells}")
+
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
@@ -182,6 +248,7 @@ def main(argv=None) -> int:
         "growth_exponent": growth,
         "warm_walk_seconds": walks,
         "walk_repeat": WALK_REPEAT,
+        "family_layers": families,
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

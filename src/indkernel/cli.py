@@ -14,7 +14,10 @@ Subcommands:
 Exit codes: 0 success / property holds, 1 unprovable / check fails,
 2 bad input (parse errors, schema errors, bounds below their minimum,
 files that are not UTF-8, unknown flags), 3 internal error (any other
-exception, reported on one stderr line). Output is deterministic;
+exception, reported on one stderr line). check-square and check-family
+print the library's reports with record=True, but write the witness
+lists as text from the reports' plans (jsonio.dumps_witnessed), with
+no dict per witness. Output is deterministic;
 selftest's generators are seeded from INDKERNEL_SEED. Also runs as
 python -m indkernel.
 """
@@ -142,7 +145,7 @@ def _cmd_check_square(args) -> int:
     if not isinstance(sq, squares.Square):
         raise IndkernelError(f"{args.file} does not contain a square")
     covering = squares.covering_report(sq)
-    collection = squares.collection_report(sq, args.bound, record=True)
+    collection, plan = squares._collection_scan(sq, args.bound)
     report = {
         "kind": "square-report",
         "bound": collection["bound"],
@@ -150,21 +153,22 @@ def _cmd_check_square(args) -> int:
         "collection": collection,
         "holds": covering["holds"] and collection["holds"],
     }
-    print(jsonio.dumps(report))
+    print(jsonio.dumps_witnessed(report, 2, plan))
     return 0 if report["holds"] else 1
 
 
 def _cmd_check_family(args) -> int:
     fam = jsonio.load_instance(args.file)
     if isinstance(fam, SurjectionFamily):
-        report = squares.amc_family_report(fam, args.bound, record=True)
-        report = {"kind": "family-report", "check": "every-surjection-factors", **report}
+        check = "every-surjection-factors"
+        report, plan = squares._amc_family_scan(fam, args.bound)
     elif isinstance(fam, list):
-        report = squares.collection_family_report(fam, args.bound, record=True)
-        report = {"kind": "family-report", "check": "indexed-refinement", **report}
+        check = "indexed-refinement"
+        report, plan = squares._collection_family_scan(fam, args.bound)
     else:
         raise IndkernelError(f"{args.file} does not contain a family")
-    print(jsonio.dumps(report))
+    report = {"kind": "family-report", "check": check, **report}
+    print(jsonio.dumps_witnessed(report, 1, plan))
     return 0 if report["holds"] else 1
 
 

@@ -30,17 +30,23 @@ Python stack; strings go through the C escaper
 json.encoder.encode_basestring_ascii, and a container that holds only
 strings (a domain list, a map between element names) is written with
 one str.join.
+
+dumps_witnessed writes the check-square and check-family reports:
+dumps writes the head, and the witness list is written as text from
+the report's plan (squares) and the surjection enumerator, with no dict
+per witness, in the bytes dumps writes for the recorded report.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import InvalidValue, SchemaError
 from .finite import Carrier, FinMap
-from .squares import Square, SurjectionFamily
+from .squares import _LIFT, _ONTO, Square, SurjectionFamily, _surjection_blocks
 
 
 def _require(data: dict, key: str, kind: type, where: str):
@@ -195,3 +201,81 @@ def dumps(obj: object) -> str:
             open_ids.discard(key)
             emit(closing)
     return "".join(chunks)
+
+
+def dumps_witnessed(report: dict, depth: int, plan: tuple) -> str:
+    """dumps(report), the witness list of a squares plan written in place
+    of the empty "witnesses" list whose key sits at depth (1 in a family
+    report, 2 in the collection report of a square report): the text
+    dumps writes for the report holding the library's witness dicts."""
+    # strings are escaped, so this key line occurs nowhere else
+    marker = "\n" + "  " * depth + '"witnesses": []'
+    head, tail = dumps(report).split(marker)
+    out = [head, marker[:-2]]
+    _write_witnesses(out, depth, *plan)
+    out.append(tail)
+    return "".join(out)
+
+
+def _write_witnesses(
+    out: list[str], depth: int, bound: int, prefix: str, varying: tuple[str, ...], groups: list
+) -> None:
+    """Append the witness list text of a plan (squares) to out, with no
+    dict and no string per witness. A group's witnesses share their text
+    but for the varying fields' items, and whether those are empty is
+    the group's; the items are cached by what they depend on: a domain
+    list by its size, a block's map entries by (block, start, size), a
+    factor or h entry by (element, start of its block)."""
+    nl = ["\n" + "  " * (depth + k) for k in range(5)]  # nl[k]: a line at depth + k
+    sep = ["," + line for line in nl]
+    names: list[str] = []
+    domain = cache(lambda size: sep[4].join(map(_quote, names[:size])))
+
+    def field(value: tuple, n: int) -> list:
+        """A varying field's text: fixed strings alternating with the
+        makers, from (sizes, starts), of the items between them."""
+        if value[0] == _LIFT:
+            keys, blocks = list(map(_quote, value[1])), value[2]
+            if not keys:
+                return ["{}"]
+            entry = cache(lambda k, start: keys[k] + ": " + _quote(names[start]))
+            return [
+                "{" + nl[3],
+                lambda sizes, starts: sep[3].join(map(entry, range(len(keys)), map(starts.__getitem__, blocks))),
+                nl[2] + "}",
+            ]
+        if value[0] == _ONTO:
+            if not n:
+                return ["{" + nl[3] + '"domain": [],' + nl[3] + '"map": {}' + nl[2] + "}"]
+            targets = list(map(_quote, value[1]))
+            block = cache(
+                lambda j, start, size: sep[4].join([_quote(e) + ": " + targets[j] for e in names[start : start + size]])
+            )
+            return [
+                "{" + nl[3] + '"domain": [' + nl[4],
+                lambda sizes, starts: domain(starts[-1]),
+                nl[3] + "]," + nl[3] + '"map": {' + nl[4],
+                lambda sizes, starts: sep[4].join(map(block, range(n), starts, sizes)),
+                nl[3] + "}" + nl[2] + "}",
+            ]
+        return ["[" + nl[3], lambda sizes, starts: sep[3].join(map(str, sizes)), nl[2] + "]"] if n else ["[]"]
+
+    begin = len(out)
+    for n, template in groups:
+        pieces = [sep[1] + "{"]
+        for i, (key, value) in enumerate(template.items()):
+            pieces[-1] += (sep[2] if i else nl[2]) + _quote(key) + ": "
+            first, *rest = field(value, n) if key in varying else [dumps(value)]
+            pieces[-1] += first
+            pieces += rest
+        pieces[-1] += nl[1] + "}"
+        pairs, last = list(zip(pieces[::2], pieces[1::2])), pieces[-1]
+        for sizes, starts in _surjection_blocks(n, bound, names, prefix):
+            for text, make in pairs:
+                out += text, make(sizes, starts)
+            out.append(last)
+    if len(out) == begin:
+        out.append("[]")
+    else:
+        out[begin] = "[" + out[begin][1:]  # the first witness takes no comma
+        out.append(nl[0] + "]")

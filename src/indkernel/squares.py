@@ -32,6 +32,11 @@ from the family itself) always holds, since each carrier refines
 itself. A counterexample is always the first surjection, every fiber
 of size 1.
 
+Each report is a scan, which gives the report without its witnesses
+and a plan of them (the c, member or refining index, and the block each
+h or factor entry maps to), and two renderings of that plan: dicts
+under record, and the CLI's text (jsonio.dumps_witnessed).
+
 refines computes least factorizations; build_amc_square assembles the
 explicit square whose D is the disjoint union of the graphs of a
 chosen family of fiber covers; strong_amc_factor upgrades a witness
@@ -149,23 +154,23 @@ def check_covering_square(sq: Square) -> bool:
     return covering_report(sq)["holds"]
 
 
-def _surjection_blocks(targets: int, bound: int, prefix: str = "e") -> Iterator[tuple[tuple, list[int], list[str]]]:
+def _surjection_blocks(targets: int, bound: int, names: list[str], prefix: str) -> Iterator[tuple[tuple, list[int]]]:
     """The canonical surjections onto targets elements with at most bound
     domain elements: their fiber sizes (k_1 .. k_targets), every k >= 1,
     in lexicographic order (the last entry grows first; once the sum
     reaches the bound, trailing entries fall back to 1 and the entry to
-    their left grows), each block's first domain index, then the domain
-    size, and one list prefix0, prefix1, ... grown only to the largest
-    domain so far, whose first (domain size) names fill the blocks."""
+    their left grows), then each block's first domain index and the
+    domain size. names, one list per report, is grown in place to
+    prefix0, prefix1, ... as far as the largest domain so far; its first
+    (domain size) names fill the blocks."""
     if targets > bound:
         return
     sizes = [1] * targets
     total = targets
-    names = [f"{prefix}{i}" for i in range(targets)]
     while True:
-        if total > len(names):  # one more, as the total grows by one per step
-            names.append(f"{prefix}{total - 1}")
-        yield tuple(sizes), list(accumulate(sizes, initial=0)), names
+        while total > len(names):
+            names.append(f"{prefix}{len(names)}")
+        yield tuple(sizes), list(accumulate(sizes, initial=0))
         i = targets - 1
         while i >= 0 and total == bound:
             total -= sizes[i] - 1
@@ -187,9 +192,45 @@ def _surjection_doc(targets: Sequence, sizes: tuple[int, ...], starts: list[int]
 def surjections_onto(target: Carrier, bound: int) -> Iterator[FinMap]:
     """Canonical surjections E ->> target with |E| <= bound, one per
     fiber-size tuple; E is e0, e1, ..., assigned in blocks."""
-    for blocks in _surjection_blocks(len(target), bound):
-        doc = _surjection_doc(range(len(target)), *blocks)
+    names: list[str] = []
+    for sizes, starts in _surjection_blocks(len(target), bound, names, "e"):
+        doc = _surjection_doc(range(len(target)), sizes, starts, names)
         yield FinMap(Carrier(tuple(doc["domain"])), target, tuple(doc["map"].values()))
+
+
+# A plan is (bound, prefix, varying, groups): per fiber, member or
+# carrier a group (n, template), one witness per canonical surjection
+# onto n elements within the bound, its domain prefix0, prefix1, ...
+# The template holds the witness fields in order; those named in
+# varying hold a tuple: (_SIZES,) the fiber sizes, (_ONTO, targets) the
+# surjection, block j sent to targets[j], or (_LIFT, keys, blocks) the
+# map sending keys[k] to the first domain element of block blocks[k].
+_SIZES, _ONTO, _LIFT = "sizes", "onto", "lift"
+
+
+def _witness_dicts(bound: int, prefix: str, varying: tuple[str, ...], groups: list) -> list[dict]:
+    names: list[str] = []
+    witnesses = []
+    for n, template in groups:
+        for sizes, starts in _surjection_blocks(n, bound, names, prefix):
+            witness = template.copy()
+            for key in varying:
+                value = template[key]
+                if value[0] == _LIFT:
+                    witness[key] = dict(zip(value[1], map(names.__getitem__, map(starts.__getitem__, value[2]))))
+                elif value[0] == _ONTO:
+                    witness[key] = _surjection_doc(value[1], sizes, starts, names)
+                else:
+                    witness[key] = list(sizes)
+            witnesses.append(witness)
+    return witnesses
+
+
+def _recorded(scan: tuple[dict, tuple], record: bool) -> dict:
+    report, plan = scan
+    if record:
+        report["witnesses"] = _witness_dicts(*plan)
+    return report
 
 
 def default_square_bound(sq: Square) -> int:
@@ -208,11 +249,17 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
     itself onto B_a, which the covering condition implies but this
     check does not require.
     """
+    return _recorded(_collection_scan(sq, bound), record)
+
+
+def _collection_scan(sq: Square, bound: int | None = None) -> tuple[dict, tuple]:
+    """collection_report without its witnesses, and the witnesses' plan."""
     if bound is None:
         bound = default_square_bound(sq)
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    witnesses: list[dict] = []
+    groups: list = []
+    plan = (bound, "e", ("fiber_sizes", "h"), groups)
     skipped: list[dict] = []
     for a, fiber_b, over_a in zip(sq.A.names, sq.f._fibers, sq.p._fibers):
         if len(fiber_b) > bound:
@@ -228,26 +275,20 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
                     "fiber_sizes": [1] * len(fiber_b),
                     "domain_size": len(fiber_b),
                 },
-                "witnesses": witnesses,
+                "witnesses": [],
                 "skipped": skipped,
-            }
-        if record:
-            d_over = sq.g._fibers[over_a[0]]
-            blocks = [fiber_b.index(sq.q.table[di]) for di in d_over]
-            d_names = [sq.D.name(di) for di in d_over]
-            c = sq.C.name(over_a[0])
-            onto = len(set(blocks)) == len(fiber_b)
-            for sizes, starts, e_names in _surjection_blocks(len(fiber_b), bound):
-                witnesses.append(
-                    {
-                        "a": a,
-                        "fiber_sizes": list(sizes),
-                        "c": c,
-                        "h": dict(zip(d_names, [e_names[starts[j]] for j in blocks])),
-                        "q_restriction_onto_fiber": onto,
-                    }
-                )
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses, "skipped": skipped}
+            }, plan
+        d_over = sq.g._fibers[over_a[0]]
+        blocks = list(map(fiber_b.index, map(sq.q.table.__getitem__, d_over)))
+        template = {
+            "a": a,
+            "fiber_sizes": (_SIZES,),
+            "c": sq.C.name(over_a[0]),
+            "h": (_LIFT, list(map(sq.D.names.__getitem__, d_over)), blocks),
+            "q_restriction_onto_fiber": len(set(blocks)) == len(fiber_b),
+        }
+        groups.append((len(fiber_b), template))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": [], "skipped": skipped}, plan
 
 
 def check_collection_square(sq: Square, bound: int | None = None) -> bool:
@@ -320,30 +361,26 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
     there an index i and f: Y_i -> Y with p o f = p_i? Member 0 always
     serves, with f(y) the first element of p's block over p_0(y).
     """
+    return _recorded(_amc_family_scan(fam, bound), record)
+
+
+def _amc_family_scan(fam: SurjectionFamily, bound: int | None = None) -> tuple[dict, tuple]:
+    """amc_family_report without its witnesses, and the witnesses' plan."""
     if bound is None:
         bound = default_family_bound(len(fam.base))
     if bound < len(fam.base):
         raise InvalidValue("bound must be at least the size of the base")
     base = fam.base.names
+    groups: list = []
+    plan = (bound, "y", ("surjection", "factor"), groups)
     if not fam.members:
-        return {
-            "holds": False,
-            "bound": bound,
-            "counterexample": _surjection_doc(base, *next(_surjection_blocks(len(base), len(base), "y"))),
-            "witnesses": [],
-        }
-    witnesses: list[dict] = []
-    if record:
-        member = fam.members[0]
-        for sizes, starts, y_names in _surjection_blocks(len(base), bound, "y"):
-            witnesses.append(
-                {
-                    "surjection": _surjection_doc(base, sizes, starts, y_names),
-                    "member": 0,
-                    "factor": dict(zip(member.dom.names, [y_names[starts[x]] for x in member.table])),
-                }
-            )
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}
+        names: list[str] = []
+        first = next(_surjection_blocks(len(base), len(base), names, "y"))
+        counterexample = _surjection_doc(base, *first, names)
+        return {"holds": False, "bound": bound, "counterexample": counterexample, "witnesses": []}, plan
+    factor = (_LIFT, fam.members[0].dom.names, fam.members[0].table)
+    groups.append((len(base), {"surjection": (_ONTO, base), "member": 0, "factor": factor}))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": []}, plan
 
 
 def is_amc_witness_family(fam: SurjectionFamily, bound: int | None = None) -> bool:
@@ -362,29 +399,28 @@ def collection_family_report(
     the first element of p's block over the k-th element of Y_i, any
     further element to e0.
     """
+    return _recorded(_collection_family_scan(ys, bound), record)
+
+
+def _collection_family_scan(ys: Sequence[Carrier], bound: int | None = None) -> tuple[dict, tuple]:
+    """collection_family_report without its witnesses, and the witnesses' plan."""
     if bound is None:
         bound = default_family_bound(max((len(y) for y in ys), default=0))
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    witnesses: list[dict] = []
-    if record:
-        refining: dict[int, int] = {}
-        for i, target in enumerate(ys):
-            n = len(target)
-            if n not in refining:
-                refining[n] = next(j for j, y in enumerate(ys) if (len(y) >= n if n else not len(y)))
-            source = ys[refining[n]]
-            rest = ["e0"] * (len(source) - n)
-            for sizes, starts, e_names in _surjection_blocks(n, bound):
-                witnesses.append(
-                    {
-                        "index": i,
-                        "surjection": _surjection_doc(target.names, sizes, starts, e_names),
-                        "refining_index": refining[n],
-                        "factor": dict(zip(source.names, [e_names[s] for s in starts[:n]] + rest)),
-                    }
-                )
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": witnesses}
+    groups: list = []
+    plan = (bound, "e", ("surjection", "factor"), groups)
+    refining: dict[int, int] = {}
+    for i, target in enumerate(ys):
+        n = len(target)
+        if n not in refining:
+            refining[n] = next(j for j, y in enumerate(ys) if (len(y) >= n if n else not len(y)))
+        source = ys[refining[n]]
+        # block 0 starts at e0, which takes every element past the n-th
+        factor = (_LIFT, source.names, [*range(n), *[0] * (len(source) - n)])
+        template = {"index": i, "surjection": (_ONTO, target.names), "refining_index": refining[n], "factor": factor}
+        groups.append((n, template))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": []}, plan
 
 
 def is_collection_family(ys: Sequence[Carrier], bound: int | None = None) -> bool:

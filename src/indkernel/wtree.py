@@ -233,12 +233,13 @@ def tree_from_json(sig: Signature, data: dict) -> WTree:
     """The tree a tree_to_json document describes; each node is built
     with sup once its children are, as a recursive reading would. A
     node's shape is checked on the way down: a node or "children" that
-    is not an object, or a "label" that is not a string, raises
-    SchemaError. A dict the document shares gives one shared node."""
+    is not an object, or a "label" that is missing or not a string,
+    raises SchemaError. A dict the document shares gives one shared node."""
 
     def children(node: dict) -> list[dict]:
-        # a node without a label fails (KeyError) before its children
-        if not (isinstance(node, dict) and isinstance(node["label"], str) and isinstance(node.get("children", {}), dict)):
+        if not (
+            isinstance(node, dict) and isinstance(node.get("label"), str) and isinstance(node.get("children", {}), dict)
+        ):
             raise SchemaError("a tree node must be an object with a string 'label' and an object 'children'")
         return list(node.get("children", {}).values())
 

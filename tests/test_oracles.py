@@ -4,8 +4,9 @@ engine's private helpers, nor its enumeration of surjections, nor its
 tree folds, nor a map's preimage table or the onto check that reads it,
 nor the rule store's columns, its columns constructor, its rules by
 conclusion, nor the proof signature's premise and label decoders or
-kind_of and conc, which read them: the oracles read a definition
-through its public rules and decode labels on their own."""
+kind_of and conc, which read them, nor the square and family reports'
+scans and the two renderings of their witness plans: the oracles read
+a definition through its public rules and decode labels on their own."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,11 @@ ENGINE_INTERNALS = {
     "fold",
     "_fibers",
     "is_surjection",
+    "_collection_scan",
+    "_amc_family_scan",
+    "_collection_family_scan",
+    "_witness_dicts",
+    "dumps_witnessed",
 }
 
 
@@ -79,3 +85,9 @@ def test_the_guard_sees_each_kind_of_tie():
     assert engine_ties("fold(sig, t, step)") == {"fold"}
     assert engine_ties("f._fibers[0]") == {"_fibers"}
     assert engine_ties("from indkernel.finite import is_surjection") == {"is_surjection"}
+    assert engine_ties("squares._collection_scan(sq, 3)") == {"_collection_scan"}
+    assert engine_ties("from indkernel.squares import _amc_family_scan, _collection_family_scan") == {
+        "_amc_family_scan", "_collection_family_scan"
+    }
+    assert engine_ties("_witness_dicts(*plan)") == {"_witness_dicts"}
+    assert engine_ties("from indkernel.jsonio import dumps_witnessed") == {"dumps_witnessed"}

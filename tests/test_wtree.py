@@ -263,7 +263,8 @@ class TestSerialization:
              UnknownElement, "'zz' is not an element of {leaf, node}"),
             ({"label": "node", "children": {"lft": {"label": "node", "children": {}}, "rgt": {"label": "zz"}}},
              ArityMismatch, "node 'node': missing slots ['lft', 'rgt']"),
-            ({"label": "node", "children": {"lft": {"children": {"lft": {"label": "zz"}}}}}, KeyError, "'label'"),
+            ({"label": "node", "children": {"lft": {"children": {"lft": {"label": "zz"}}}}}, SchemaError,
+             "a tree node must be an object with a string 'label' and an object 'children'"),
             ({"label": "node", "children": {"lft": {"label": "zz"}}}, UnknownElement,
              "'zz' is not an element of {leaf, node}"),
         ],
