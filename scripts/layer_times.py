@@ -27,11 +27,12 @@ The square and family layers run check-family's work on the carrier
 family of sizes 1..7 (bench/inputs.py) and on a seeded surjection
 family of base 7 with two members, at bounds 11, 13 and 15: the
 library report with its witness dicts (report, record=True), the CLI's
-text of the report from the loaded instance (write: the report's scan
-and jsonio.dumps_witnessed, or in a tree without that writer the
-recorded report and jsonio.dumps), and run_command end to end, stdout
-captured. Each time is the minimum of five rounds, and is also given
-per listed witness.
+text of the report from the loaded instance (write: jsonio.dumps of
+the scan's report, which holds its witness plan; in older trees, whose
+scan returns the report and the plan apart, jsonio.dumps_witnessed, or
+without a scan the recorded report and jsonio.dumps), and run_command
+end to end, stdout captured. Each time is the minimum of five rounds,
+and is also given per listed witness.
 
 The indkernel measured is the one under --src (the checkout's src/ by
 default), so two checkouts can be compared. The results are printed
@@ -168,8 +169,12 @@ def time_families(work: Path) -> dict[str, dict]:
         report = squares.collection_family_report if carriers else squares.amc_family_report
         check = "indexed-refinement" if carriers else "every-surjection-factors"
 
-        if hasattr(jsonio, "dumps_witnessed"):
-            scan = squares._collection_family_scan if carriers else squares._amc_family_scan
+        scan = getattr(squares, "_collection_family_scan" if carriers else "_amc_family_scan", None)
+        if scan is not None and isinstance(scan(instance, FAMILY_BOUNDS[0]), dict):  # the plan sits in the report
+
+            def write(b):
+                return jsonio.dumps({"kind": "family-report", "check": check, **scan(instance, b)})
+        elif scan is not None:  # the scan gives the report and its plan apart
 
             def write(b):
                 head, plan = scan(instance, b)

@@ -14,10 +14,11 @@ Subcommands:
 Exit codes: 0 success / property holds, 1 unprovable / check fails,
 2 bad input (parse errors, schema errors, bounds below their minimum,
 files that are not UTF-8, unknown flags), 3 internal error (any other
-exception, reported on one stderr line). check-square and check-family
-print the library's reports with record=True, but write the witness
-lists as text from the reports' plans (jsonio.dumps_witnessed), with
-no dict per witness. Output is deterministic;
+exception, reported on one stderr line). Every JSON document goes
+through jsonio.dumps: check-square and check-family print the
+library's reports as with record=True, but hand dumps each report's
+witness plan, which it writes as text with no dict per witness.
+Output is deterministic;
 selftest's generators are seeded from INDKERNEL_SEED. Also runs as
 python -m indkernel.
 """
@@ -82,7 +83,7 @@ def _load_problem(path: str):
 
 
 def _pick_goal(args, file_goal: str | None) -> str:
-    goal = args.goal or file_goal
+    goal = file_goal if args.goal is None else args.goal
     if goal is None:
         raise IndkernelError("no goal: pass --goal or add a goal line to the file")
     return goal
@@ -145,7 +146,7 @@ def _cmd_check_square(args) -> int:
     if not isinstance(sq, squares.Square):
         raise IndkernelError(f"{args.file} does not contain a square")
     covering = squares.covering_report(sq)
-    collection, plan = squares._collection_scan(sq, args.bound)
+    collection = squares._collection_scan(sq, args.bound)
     report = {
         "kind": "square-report",
         "bound": collection["bound"],
@@ -153,7 +154,7 @@ def _cmd_check_square(args) -> int:
         "collection": collection,
         "holds": covering["holds"] and collection["holds"],
     }
-    print(jsonio.dumps_witnessed(report, 2, plan))
+    print(jsonio.dumps(report))
     return 0 if report["holds"] else 1
 
 
@@ -161,14 +162,14 @@ def _cmd_check_family(args) -> int:
     fam = jsonio.load_instance(args.file)
     if isinstance(fam, SurjectionFamily):
         check = "every-surjection-factors"
-        report, plan = squares._amc_family_scan(fam, args.bound)
+        report = squares._amc_family_scan(fam, args.bound)
     elif isinstance(fam, list):
         check = "indexed-refinement"
-        report, plan = squares._collection_family_scan(fam, args.bound)
+        report = squares._collection_family_scan(fam, args.bound)
     else:
         raise IndkernelError(f"{args.file} does not contain a family")
     report = {"kind": "family-report", "check": check, **report}
-    print(jsonio.dumps_witnessed(report, 1, plan))
+    print(jsonio.dumps(report))
     return 0 if report["holds"] else 1
 
 

@@ -21,20 +21,15 @@ Malformed documents raise SchemaError; name-level problems surface as
 the usual carrier/map errors. read_text reads every input file, rule
 files too, and reports one that is not UTF-8 as InvalidValue.
 
-dumps writes the CLI's JSON documents (proofs, square and family
-reports): byte for byte what json.dumps(obj, indent=2) writes, for
-str-keyed dicts, lists, tuples, str, int, bool and None, and a
+dumps writes every JSON document of the CLI (proofs, square and
+family reports): byte for byte what json.dumps(obj, indent=2) writes,
+for str-keyed dicts, lists, tuples, str, int, bool and None, and a
 TypeError for anything else. It keeps the open containers on an
 explicit stack, so nesting depth is bounded by memory, not by the
 Python stack; strings go through the C escaper
-json.encoder.encode_basestring_ascii, and a container that holds only
-strings (a domain list, a map between element names) is written with
-one str.join.
-
-dumps_witnessed writes the check-square and check-family reports:
-dumps writes the head, and the witness list is written as text from
-the report's plan (squares) and the surjection enumerator, with no dict
-per witness, in the bytes dumps writes for the recorded report.
+json.encoder.encode_basestring_ascii. A witness plan (squares._Plan)
+is written where it sits as the witness list of the recorded report,
+straight from the surjection enumerator, with no dict per witness.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from pathlib import Path
 
 from .errors import InvalidValue, SchemaError
 from .finite import Carrier, FinMap
-from .squares import _LIFT, _ONTO, Square, SurjectionFamily, _surjection_blocks
+from .squares import _LIFT, _ONTO, Square, SurjectionFamily, _Plan, _surjection_blocks
 
 
 def _require(data: dict, key: str, kind: type, where: str):
@@ -127,6 +122,8 @@ def load_instance(path: str | Path):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     kind = data.get("kind")
@@ -172,13 +169,6 @@ def dumps(obj: object) -> str:
                     newlines.append(newlines[-1] + "  ")
                 inner = newlines[depth]
                 end = newlines[depth - 1] + ("}" if d else "]")
-                if all(isinstance(v, str) for v in (value.values() if d else value)):
-                    if d:
-                        body = map(": ".join, zip(map(_quote, value), map(_quote, value.values())))
-                    else:
-                        body = map(_quote, value)
-                    emit(("{" if d else "[") + inner + ("," + inner).join(body) + end)
-                    continue
                 if id(value) in open_ids:
                     raise ValueError("Circular reference detected")
                 open_ids.add(id(value))
@@ -194,6 +184,8 @@ def dumps(obj: object) -> str:
                 emit("false")
             elif isinstance(value, int):
                 emit(int.__repr__(value))
+            elif type(value) is _Plan:
+                _write_witnesses(chunks, len(stack) - 1, value)
             else:
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         else:
@@ -203,29 +195,14 @@ def dumps(obj: object) -> str:
     return "".join(chunks)
 
 
-def dumps_witnessed(report: dict, depth: int, plan: tuple) -> str:
-    """dumps(report), the witness list of a squares plan written in place
-    of the empty "witnesses" list whose key sits at depth (1 in a family
-    report, 2 in the collection report of a square report): the text
-    dumps writes for the report holding the library's witness dicts."""
-    # strings are escaped, so this key line occurs nowhere else
-    marker = "\n" + "  " * depth + '"witnesses": []'
-    head, tail = dumps(report).split(marker)
-    out = [head, marker[:-2]]
-    _write_witnesses(out, depth, *plan)
-    out.append(tail)
-    return "".join(out)
-
-
-def _write_witnesses(
-    out: list[str], depth: int, bound: int, prefix: str, varying: tuple[str, ...], groups: list
-) -> None:
-    """Append the witness list text of a plan (squares) to out, with no
-    dict and no string per witness. A group's witnesses share their text
-    but for the varying fields' items, and whether those are empty is
-    the group's; the items are cached by what they depend on: a domain
-    list by its size, a block's map entries by (block, start, size), a
-    factor or h entry by (element, start of its block)."""
+def _write_witnesses(out: list[str], depth: int, plan: _Plan) -> None:
+    """Append the witness list of a plan, a value on a line at depth, to
+    out from its [, with no dict and no string per witness. A group's
+    witnesses share their text but for the varying fields' items, and
+    whether those are empty is the group's; the items are cached by
+    what they depend on: a domain list by its size, a block's map
+    entries by (block, start, size), a factor or h entry by (element,
+    start of its block)."""
     nl = ["\n" + "  " * (depth + k) for k in range(5)]  # nl[k]: a line at depth + k
     sep = ["," + line for line in nl]
     names: list[str] = []
@@ -261,16 +238,16 @@ def _write_witnesses(
         return ["[" + nl[3], lambda sizes, starts: sep[3].join(map(str, sizes)), nl[2] + "]"] if n else ["[]"]
 
     begin = len(out)
-    for n, template in groups:
+    for n, template in plan.groups:
         pieces = [sep[1] + "{"]
         for i, (key, value) in enumerate(template.items()):
             pieces[-1] += (sep[2] if i else nl[2]) + _quote(key) + ": "
-            first, *rest = field(value, n) if key in varying else [dumps(value)]
+            first, *rest = field(value, n) if key in plan.varying else [dumps(value)]
             pieces[-1] += first
             pieces += rest
         pieces[-1] += nl[1] + "}"
         pairs, last = list(zip(pieces[::2], pieces[1::2])), pieces[-1]
-        for sizes, starts in _surjection_blocks(n, bound, names, prefix):
+        for sizes, starts in _surjection_blocks(n, plan.bound, names, plan.prefix):
             for text, make in pairs:
                 out += text, make(sizes, starts)
             out.append(last)

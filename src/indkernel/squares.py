@@ -32,16 +32,18 @@ from the family itself) always holds, since each carrier refines
 itself. A counterexample is always the first surjection, every fiber
 of size 1.
 
-Each report is a scan, which gives the report without its witnesses
-and a plan of them (the c, member or refining index, and the block each
-h or factor entry maps to), and two renderings of that plan: dicts
-under record, and the CLI's text (jsonio.dumps_witnessed).
+Each report is a scan, which gives the report with a _Plan of its
+witnesses in their place (the c, member or refining index, and the
+block each h or factor entry maps to). The CLI prints that report with
+jsonio.dumps, which writes the plan as text where it sits; the public
+reports swap it for its witness dicts under record, or for [].
 
 refines computes least factorizations; build_amc_square assembles the
 explicit square whose D is the disjoint union of the graphs of a
 chosen family of fiber covers; strong_amc_factor upgrades a witness
 family to the factor-through form: it pulls the first member back
-along the given surjection and refines the result inside the family.
+along the given surjection and factors that member through the result,
+so the index it returns is always 0.
 """
 
 from __future__ import annotations
@@ -198,23 +200,32 @@ def surjections_onto(target: Carrier, bound: int) -> Iterator[FinMap]:
         yield FinMap(Carrier(tuple(doc["domain"])), target, tuple(doc["map"].values()))
 
 
-# A plan is (bound, prefix, varying, groups): per fiber, member or
-# carrier a group (n, template), one witness per canonical surjection
-# onto n elements within the bound, its domain prefix0, prefix1, ...
-# The template holds the witness fields in order; those named in
-# varying hold a tuple: (_SIZES,) the fiber sizes, (_ONTO, targets) the
-# surjection, block j sent to targets[j], or (_LIFT, keys, blocks) the
-# map sending keys[k] to the first domain element of block blocks[k].
 _SIZES, _ONTO, _LIFT = "sizes", "onto", "lift"
 
 
-def _witness_dicts(bound: int, prefix: str, varying: tuple[str, ...], groups: list) -> list[dict]:
+@dataclass(slots=True)
+class _Plan:
+    """A report's witnesses, one group (n, template) per fiber, member or
+    carrier: one witness per canonical surjection onto n elements within
+    bound, its domain prefix0, prefix1, ... The template holds the
+    witness fields in order; those named in varying hold a tuple:
+    (_SIZES,) the fiber sizes, (_ONTO, targets) the surjection, block j
+    sent to targets[j], or (_LIFT, keys, blocks) the map sending keys[k]
+    to the first domain element of block blocks[k]."""
+
+    bound: int
+    prefix: str
+    varying: tuple[str, ...]
+    groups: list
+
+
+def _witness_dicts(plan: _Plan) -> list[dict]:
     names: list[str] = []
     witnesses = []
-    for n, template in groups:
-        for sizes, starts in _surjection_blocks(n, bound, names, prefix):
+    for n, template in plan.groups:
+        for sizes, starts in _surjection_blocks(n, plan.bound, names, plan.prefix):
             witness = template.copy()
-            for key in varying:
+            for key in plan.varying:
                 value = template[key]
                 if value[0] == _LIFT:
                     witness[key] = dict(zip(value[1], map(names.__getitem__, map(starts.__getitem__, value[2]))))
@@ -226,10 +237,9 @@ def _witness_dicts(bound: int, prefix: str, varying: tuple[str, ...], groups: li
     return witnesses
 
 
-def _recorded(scan: tuple[dict, tuple], record: bool) -> dict:
-    report, plan = scan
-    if record:
-        report["witnesses"] = _witness_dicts(*plan)
+def _recorded(report: dict, record: bool) -> dict:
+    """report with its plan swapped for the witness dicts, or for []."""
+    report["witnesses"] = _witness_dicts(report["witnesses"]) if record else []
     return report
 
 
@@ -252,14 +262,13 @@ def collection_report(sq: Square, bound: int | None = None, record: bool = False
     return _recorded(_collection_scan(sq, bound), record)
 
 
-def _collection_scan(sq: Square, bound: int | None = None) -> tuple[dict, tuple]:
-    """collection_report without its witnesses, and the witnesses' plan."""
+def _collection_scan(sq: Square, bound: int | None = None) -> dict:
+    """collection_report with the plan of its witnesses in their place."""
     if bound is None:
         bound = default_square_bound(sq)
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    groups: list = []
-    plan = (bound, "e", ("fiber_sizes", "h"), groups)
+    plan = _Plan(bound, "e", ("fiber_sizes", "h"), [])
     skipped: list[dict] = []
     for a, fiber_b, over_a in zip(sq.A.names, sq.f._fibers, sq.p._fibers):
         if len(fiber_b) > bound:
@@ -275,9 +284,9 @@ def _collection_scan(sq: Square, bound: int | None = None) -> tuple[dict, tuple]
                     "fiber_sizes": [1] * len(fiber_b),
                     "domain_size": len(fiber_b),
                 },
-                "witnesses": [],
+                "witnesses": plan,
                 "skipped": skipped,
-            }, plan
+            }
         d_over = sq.g._fibers[over_a[0]]
         blocks = list(map(fiber_b.index, map(sq.q.table.__getitem__, d_over)))
         template = {
@@ -287,8 +296,8 @@ def _collection_scan(sq: Square, bound: int | None = None) -> tuple[dict, tuple]
             "h": (_LIFT, list(map(sq.D.names.__getitem__, d_over)), blocks),
             "q_restriction_onto_fiber": len(set(blocks)) == len(fiber_b),
         }
-        groups.append((len(fiber_b), template))
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": [], "skipped": skipped}, plan
+        plan.groups.append((len(fiber_b), template))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": plan, "skipped": skipped}
 
 
 def check_collection_square(sq: Square, bound: int | None = None) -> bool:
@@ -364,23 +373,22 @@ def amc_family_report(fam: SurjectionFamily, bound: int | None = None, record: b
     return _recorded(_amc_family_scan(fam, bound), record)
 
 
-def _amc_family_scan(fam: SurjectionFamily, bound: int | None = None) -> tuple[dict, tuple]:
-    """amc_family_report without its witnesses, and the witnesses' plan."""
+def _amc_family_scan(fam: SurjectionFamily, bound: int | None = None) -> dict:
+    """amc_family_report with the plan of its witnesses in their place."""
     if bound is None:
         bound = default_family_bound(len(fam.base))
     if bound < len(fam.base):
         raise InvalidValue("bound must be at least the size of the base")
     base = fam.base.names
-    groups: list = []
-    plan = (bound, "y", ("surjection", "factor"), groups)
+    plan = _Plan(bound, "y", ("surjection", "factor"), [])
     if not fam.members:
         names: list[str] = []
         first = next(_surjection_blocks(len(base), len(base), names, "y"))
         counterexample = _surjection_doc(base, *first, names)
-        return {"holds": False, "bound": bound, "counterexample": counterexample, "witnesses": []}, plan
+        return {"holds": False, "bound": bound, "counterexample": counterexample, "witnesses": plan}
     factor = (_LIFT, fam.members[0].dom.names, fam.members[0].table)
-    groups.append((len(base), {"surjection": (_ONTO, base), "member": 0, "factor": factor}))
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": []}, plan
+    plan.groups.append((len(base), {"surjection": (_ONTO, base), "member": 0, "factor": factor}))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": plan}
 
 
 def is_amc_witness_family(fam: SurjectionFamily, bound: int | None = None) -> bool:
@@ -402,14 +410,13 @@ def collection_family_report(
     return _recorded(_collection_family_scan(ys, bound), record)
 
 
-def _collection_family_scan(ys: Sequence[Carrier], bound: int | None = None) -> tuple[dict, tuple]:
-    """collection_family_report without its witnesses, and the witnesses' plan."""
+def _collection_family_scan(ys: Sequence[Carrier], bound: int | None = None) -> dict:
+    """collection_family_report with the plan of its witnesses in their place."""
     if bound is None:
         bound = default_family_bound(max((len(y) for y in ys), default=0))
     if bound < 1:
         raise InvalidValue("bound must be at least 1")
-    groups: list = []
-    plan = (bound, "e", ("surjection", "factor"), groups)
+    plan = _Plan(bound, "e", ("surjection", "factor"), [])
     refining: dict[int, int] = {}
     for i, target in enumerate(ys):
         n = len(target)
@@ -419,8 +426,8 @@ def _collection_family_scan(ys: Sequence[Carrier], bound: int | None = None) -> 
         # block 0 starts at e0, which takes every element past the n-th
         factor = (_LIFT, source.names, [*range(n), *[0] * (len(source) - n)])
         template = {"index": i, "surjection": (_ONTO, target.names), "refining_index": refining[n], "factor": factor}
-        groups.append((n, template))
-    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": []}, plan
+        plan.groups.append((n, template))
+    return {"holds": True, "bound": bound, "counterexample": None, "witnesses": plan}
 
 
 def is_collection_family(ys: Sequence[Carrier], bound: int | None = None) -> bool:
@@ -431,9 +438,9 @@ def strong_amc_factor(fam: SurjectionFamily, f: FinMap) -> tuple[int, FinMap]:
     """An index j and g: Y_j -> dom(f) with f o g = p_j.
 
     Route: pull the first member back along f, giving a surjection
-    u: T ->> base; then find a member p_j that u factors (p_j = u o k)
-    and push k through the pullback projection. Deterministic: first
-    member, first j, least maps throughout.
+    u: T ->> base; then factor p_0 through u (p_0 = u o k, which exists
+    since u is onto) and push k through the pullback projection. So j is
+    always 0, and the maps are the least ones.
     """
     if f.cod != fam.base:
         raise CodomainMismatch("f must land in the family's base")
@@ -444,8 +451,4 @@ def strong_amc_factor(fam: SurjectionFamily, f: FinMap) -> tuple[int, FinMap]:
     first = fam.members[0]
     _, pr_z, _ = pullback(f, first)
     u = compose(f, pr_z)  # onto: f is onto and the pullback hits every fiber pair
-    for j, member in enumerate(fam.members):
-        k = refines(member, u)
-        if k is not None:
-            return j, compose(pr_z, k)
-    raise NoFactorization("no member factors through the pulled-back surjection")
+    return 0, compose(pr_z, refines(first, u))

@@ -1,7 +1,8 @@
 """The adversarial corpus: a chain of 2000, a ladder of 30 rungs, and
 four square and family instances whose witnesses name no domain
 element. The corpus also holds not_utf8.rules and not_utf8.json, each
-with a 0xff byte; tests/test_cli.py reads them.
+with a 0xff byte, and deep_nesting.json, a valid square with an extra
+key nested 1,100 lists deep; tests/test_cli.py reads them.
 
 chain2000.rules derives c1999 from c0 through 1999 stages, deeper than
 the Python stack allows recursion to go, so its proofs are compared by

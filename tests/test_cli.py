@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from indkernel import cli
+from indkernel import cli, selftest
 from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, emit, parse_rule_file
 from indkernel.jsonio import dumps
@@ -132,6 +132,14 @@ class TestProve:
         code, _, err = run(capsys, "prove", GOLDEN / "chain.rules", "--goal", "zz")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["prove", "witness"])
+    @pytest.mark.parametrize("goal_line", ["goal b\n", ""], ids=["goal-line", "no-goal-line"])
+    def test_an_empty_goal_flag_is_used_not_replaced(self, command, goal_line, capsys, tmp_path):
+        path = tmp_path / "g.rules"
+        path.write_text("set a b\nrule a -> b\nseed a\n" + goal_line)
+        code, out, err = run(capsys, command, path, "--goal", "")
+        assert (code, out, err) == (2, "", "error: '' is not an element of {a, b}\n")
 
 
     @pytest.mark.parametrize("head", ["", "# rules read by the full parser\n"], ids=["plain", "fallback"])
@@ -311,6 +319,20 @@ class TestSelftest:
         assert code == 2
         assert "INDKERNEL_SEED must be an integer" in err
 
+    def test_failed_and_crashed_suites_are_reported(self, monkeypatch):
+        def crash(rng):
+            raise ValueError("boom")
+
+        suites = (("fine", lambda rng: (5, None)), ("wrong", lambda rng: (3, "bad verdict")), ("crash", crash))
+        monkeypatch.setattr(selftest, "SUITES", suites)
+        lines = []
+        assert selftest.run_selftest(0, out=lines.append) == 1
+        assert lines == [
+            "ok   fine (5 cases)",
+            "FAIL wrong (case 3): bad verdict",
+            "FAIL crash: crashed with ValueError: boom",
+        ]
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -330,6 +352,49 @@ class TestInputErrors:
         bad.write_text("{not json")
         code, _, err = run(capsys, "check-square", bad)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["check-square", "check-family"])
+    def test_json_nested_deeper_than_the_decoder_reads(self, command, capsys):
+        path = ADVERSARIAL / "deep_nesting.json"
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply to read\n")
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("check-square", {"kind": "square", "maps": {}}, "square: missing 'carriers'"),
+            ("check-square", {"kind": "square", "carriers": [], "maps": {}}, "square: 'carriers' must be a dict"),
+            (
+                "check-family",
+                {"kind": "carrier-family", "carriers": [["a", 1]]},
+                "carrier 0: expected a list of element names",
+            ),
+            (
+                "check-square",
+                {
+                    "kind": "square",
+                    "carriers": {"A": ["a"], "B": ["b"], "C": ["c"], "D": ["d"]},
+                    "maps": {"f": {"b": 1}, "p": {"c": "a"}, "g": {"d": "c"}, "q": {"d": "b"}},
+                },
+                "map f: expected an object of element -> element",
+            ),
+            (
+                "check-family",
+                {"kind": "surjection-family", "base": ["a"], "members": [["a"]]},
+                "family member 0: expected an object",
+            ),
+            ("check-square", ["square"], "{path}: expected a JSON object"),
+            ("check-family", {"kind": "cube"}, "{path}: unknown kind 'cube'"),
+        ],
+        ids=[
+            "missing-key", "wrong-type", "carrier-names", "map-names", "member-object", "document-object", "unknown-kind"
+        ],
+    )
+    def test_documents_outside_the_schema(self, command, doc, message, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
     @pytest.mark.parametrize(
         "command, name, message",
@@ -431,3 +496,9 @@ class TestGoldenCorpus:
         for argv, want in expectations:
             code, _, _ = run(capsys, *argv)
             assert code == want, argv
+
+    @pytest.mark.parametrize("command", ["check-square", "check-family"])
+    def test_no_adversarial_instance_is_an_internal_error(self, command, capsys):
+        for path in sorted(ADVERSARIAL.glob("*.json")):
+            code, _, err = run(capsys, command, path)
+            assert code in (0, 1, 2) and err.count("\n") <= 1, (path.name, err)

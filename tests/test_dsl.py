@@ -20,7 +20,7 @@ from indkernel.dsl import (
     parse_rule_file,
     presentation_from_ast,
 )
-from indkernel.errors import DslError, DuplicateName, ParseError, UndeclaredName
+from indkernel.errors import DslError, DuplicateName, ParseError, UndeclaredName, UnknownElement
 from indkernel.finite import Subset
 from indkernel.gen import random_ast
 from indkernel.inddef import closure
@@ -129,6 +129,11 @@ class TestEmit:
 
 
 class TestTranslation:
+    @pytest.mark.parametrize("rule", [AstRule(("zz",), "a"), AstRule(("a",), "zz")], ids=["premise", "conclusion"])
+    def test_a_hand_built_ast_naming_an_undeclared_element(self, rule):
+        with pytest.raises(UnknownElement, match="'zz' is not an element of"):
+            definition_from_ast(RuleFileAST(("a",), (rule,), None, None))
+
     def test_definition_from_ast(self):
         ast = parse_rule_file("set a b\nrule a -> b\nseed a\ngoal b")
         phi, seed, goal = definition_from_ast(ast)

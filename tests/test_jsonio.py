@@ -10,8 +10,10 @@ import pytest
 from indkernel.cli import run_command
 from indkernel.dsl import definition_from_ast, parse_rule_file
 from indkernel.inddef import closure
+from indkernel.gen import random_square
 from indkernel.jsonio import dumps
 from indkernel.proofs import build_proof_signature, proof_to_json, synthesize_proof
+from indkernel.squares import _collection_scan, collection_report
 
 ROOT = Path(__file__).resolve().parent.parent
 RULE_FILES = sorted((ROOT / "tests" / "golden").glob("*.rules")) + sorted((ROOT / "rules").glob("*.rules"))
@@ -142,3 +144,15 @@ def test_a_cycle_raises_like_the_stdlib():
     loop.append({"back": loop})
     with pytest.raises(ValueError, match="Circular reference detected"):
         dumps(loop)
+
+
+def test_a_witness_plan_is_written_where_it_sits():
+    """A report's plan reads as the recorded report's witness list at any
+    depth: alone, as a list item, and as a value deep inside dicts."""
+    rng = Random(29)
+    for _ in range(20):
+        sq = random_square(rng, 3)
+        for bound in (1, 3, 5):
+            scan, recorded = _collection_scan(sq, bound), collection_report(sq, bound, record=True)
+            for wrap in (lambda r: r["witnesses"], lambda r: [r["witnesses"], 1], lambda r: {"x": [{"y": r}]}):
+                assert dumps(wrap(scan)) == json.dumps(wrap(recorded), indent=2)

@@ -5,8 +5,9 @@ tree folds, nor a map's preimage table or the onto check that reads it,
 nor the rule store's columns, its columns constructor, its rules by
 conclusion, nor the proof signature's premise and label decoders or
 kind_of and conc, which read them, nor the square and family reports'
-scans and the two renderings of their witness plans: the oracles read
-a definition through its public rules and decode labels on their own."""
+scans, their witness plans and the two renderings of those: the
+oracles read a definition through its public rules and decode labels
+on their own."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,9 @@ ENGINE_INTERNALS = {
     "_collection_scan",
     "_amc_family_scan",
     "_collection_family_scan",
+    "_Plan",
     "_witness_dicts",
-    "dumps_witnessed",
+    "_write_witnesses",
 }
 
 
@@ -90,4 +92,5 @@ def test_the_guard_sees_each_kind_of_tie():
         "_amc_family_scan", "_collection_family_scan"
     }
     assert engine_ties("_witness_dicts(*plan)") == {"_witness_dicts"}
-    assert engine_ties("from indkernel.jsonio import dumps_witnessed") == {"dumps_witnessed"}
+    assert engine_ties("from indkernel.squares import _Plan") == {"_Plan"}
+    assert engine_ties("jsonio._write_witnesses(out, 1, plan)") == {"_write_witnesses"}

@@ -1,5 +1,5 @@
-"""check-square and check-family write their witness lists as text from
-the reports' plans (jsonio.dumps_witnessed), not through jsonio.dumps.
+"""check-square and check-family print reports whose witness lists are
+plans (squares._Plan), which jsonio.dumps writes as text in place.
 Their stdout must be the bytes dumps writes for the library's report
 with record=True inside the head dict that cli.py puts around it, and
 must read back as the report the search in tests/oracles.py finds.

@@ -529,3 +529,29 @@ def test_strong_factor_satisfies_its_equation(seed):
     f = random_surjection(rng, base, prefix="z")
     j, g = strong_amc_factor(fam, f)
     assert compose(f, g) == fam.members[j]
+
+
+class TestReportsHoldNoPlan:
+    """The public reports hold a list of witnesses, never the plan the
+    scans carry in its place: [] without record, the dicts with it."""
+
+    @staticmethod
+    def check(report: dict, record: bool) -> None:
+        witnesses = report["witnesses"]
+        assert type(witnesses) is list
+        assert all(type(w) is dict for w in witnesses) if record else witnesses == []
+
+    def test_every_report_kind(self):
+        rng = Random(31)
+        for _ in range(30):
+            sq = random_square(rng, 4)
+            fam = random_surjection_family(rng)
+            ys = [named_carrier(rng.randint(0, 4), f"y{i}_") for i in range(rng.randint(0, 3))]
+            for extra in range(4):
+                for record in (False, True):
+                    self.check(collection_report(sq, 1 + extra, record), record)
+                    self.check(amc_family_report(fam, len(fam.base) + extra, record), record)
+                    self.check(collection_family_report(ys, 1 + extra, record), record)
+        empty = SurjectionFamily(named_carrier(2), ())
+        for record in (False, True):
+            self.check(amc_family_report(empty, 3, record), record)
