@@ -3,7 +3,10 @@
 
 The layers are parse (parse_rule_file), build (definition_from_ast),
 load (the CLI's cli._load_problem on the rule file: read, then the
-fused reader, or parse and build in a tree without one), closure,
+rule-file reader straight into the rule store's columns), load_commented
+(the same load of the same system with a comment line as every 20th
+line and 10 rules written with a glued arrow, 'a->b', the lines a
+reader cannot take from str.split alone), closure,
 cold synthesize_proof (a fresh definition and an empty proof
 signature cache, as in a one-shot CLI run), cold witness, render_proof
 of that proof, cold build_proof_signature, and is_proof and the
@@ -15,7 +18,8 @@ benchmark's rules-cli files), 2.5k, 5k and 10k, a seed of about 2% of
 the elements and a goal from the last closure stage. Each time is the
 minimum of five rounds, each of which runs every layer in turn. Each
 layer also gets its growth exponent log(t(m) / t(n)) / log(m / n)
-between consecutive sizes n < m; 1 means linear.
+between consecutive sizes n < m; 1 means linear. load_commented / load
+is printed at every size.
 
 The warm walks (ass, is_proof, proof_to_json, render_proof and
 proof_to_dot) run over the synthesized proof of the last element of a
@@ -67,7 +71,7 @@ WALK_REPEAT = 20
 FAMILY_BOUNDS = (11, 13, 15)
 FAMILY_LAYERS = ("report", "write", "run_command")
 LAYERS = (
-    "parse", "build", "load", "closure", "synthesize_proof", "witness", "render_proof",
+    "parse", "build", "load", "load_commented", "closure", "synthesize_proof", "witness", "render_proof",
     "build_proof_signature", "is_proof", "json_round_trip",
 )
 
@@ -92,6 +96,21 @@ def best_of(run, prepare=lambda: None, repeat: int = REPEAT) -> float:
     return best_of_each({"": (run, prepare)}, repeat)[""]
 
 
+def commented(text: str) -> str:
+    """The rule file with a comment line as every 20th line and the arrows
+    of 10 rules, spread over the file, glued to their names."""
+    lines = text.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("rule ")]
+    for i in rules[:: max(1, len(rules) // 10)][:10]:
+        lines[i] = lines[i].replace(" -> ", "->")
+    out: list[str] = []
+    for line in lines:
+        if len(out) % 20 == 19:
+            out.append(f"# line {len(out) + 1}")
+        out.append(line)
+    return "".join(line + "\n" for line in out)
+
+
 def time_layers(n: int, work: Path) -> dict[str, float]:
     import inputs
     from indkernel import cli, dsl, inddef, proofs
@@ -102,6 +121,8 @@ def time_layers(n: int, work: Path) -> dict[str, float]:
     text = inputs.rule_file(names, rules, start)
     path = work / f"random{n}.rules"
     path.write_text(text)
+    commented_path = work / f"random{n}-commented.rules"
+    commented_path.write_text(commented(text))
     ast = dsl.parse_rule_file(text)
     phi, u, _ = dsl.definition_from_ast(ast)
     stages = inddef.closure_stages(phi, u)
@@ -119,6 +140,7 @@ def time_layers(n: int, work: Path) -> dict[str, float]:
         "parse": (lambda _: dsl.parse_rule_file(text), nothing),
         "build": (lambda _: dsl.definition_from_ast(ast), nothing),
         "load": (lambda _: cli._load_problem(str(path)), nothing),
+        "load_commented": (lambda _: cli._load_problem(str(commented_path)), nothing),
         "closure": (lambda _: inddef.closure(phi, u), nothing),
         "synthesize_proof": (lambda p: proofs.synthesize_proof(p, u, goal), fresh),
         "witness": (lambda p: proofs.witness(p, u, goal), fresh),
@@ -225,7 +247,8 @@ def main(argv=None) -> int:
         t = by_size[n]
         print(
             f"load / (parse + build) at {n}/{5 * n}: {t['load'] / (t['parse'] + t['build']):.2f}; "
-            f"load / closure: {t['load'] / t['closure']:.2f}"
+            f"load / closure: {t['load'] / t['closure']:.2f}; "
+            f"load_commented / load: {t['load_commented'] / t['load']:.2f}"
         )
     walks = time_walks()
     print(f"{'warm walk':22s}" + "".join(f"{name:>14s}" for name in WALK_INPUTS))

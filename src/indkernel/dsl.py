@@ -15,13 +15,8 @@ declaration order, seed then goal last); parsing it back yields an
 identical AST, and on canonical files the round trip is the identity
 on bytes as well.
 
-The CLI loads a file with _read_problem. A file whose every line has
-a plain shape goes straight into the rule store's columns, one
-str.split per line and one dict lookup per name, with no AST. Any
-other file (a comment, a glued arrow, an undeclared name or keyword,
-a repeated goal, a stray character) goes whole to parse_rule_file, so
-every error is the parser's own, with its message, line, column and
-expected tokens; the two read a plain file into the same rules.
+parse_rule_file and the CLI's _read_problem read through one reader,
+_Reader, which tokenizes by regex only the lines str.split cannot read.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DuplicateName, ParseError, UndeclaredName
+from .errors import DslError, DuplicateName, ParseError, UndeclaredName
 from .finite import Carrier, Subset
 from .inddef import InductiveDefinition
 from .topology import CoverPresentation
@@ -79,124 +74,149 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
     return tokens
 
 
-def _column(line: str, lineno: int, i: int) -> int:
-    """The 1-based column of token i of a line, for an error message."""
-    return _tokenize(line, lineno)[i].column
+class _Fault(NamedTuple):
+    """Why the words of a line make no directive: token at fails a check,
+    at its column or (past) just after it. No message means a declared
+    name belongs there."""
+
+    at: int
+    past: bool = False
+    message: str | None = None
+    expected: tuple[str, ...] = ()
+    duplicate: bool = False
+
+    def error(self, tokens: list[str], line: str, lineno: int) -> DslError | DuplicateName:
+        # a stray character, which findall gives as '', fails a check and
+        # makes _tokenize raise before any other error
+        word = tokens[self.at]
+        column = _tokenize(line, lineno)[self.at].column + (len(word) if self.past else 0)
+        if self.duplicate:
+            return DuplicateName(f"element {word!r} declared twice", lineno, column)
+        if self.message is not None:
+            return ParseError(self.message, lineno, column, self.expected)
+        if word in KEYWORDS:
+            return ParseError(f"keyword {word!r} cannot be used as a name", lineno, column, ("NAME",))
+        if word in ("->", "<-"):
+            return ParseError(f"expected a name, got {word!r}", lineno, column, ("NAME",))
+        return UndeclaredName(f"name {word!r} was never declared", lineno, column)
 
 
-def _not_a_name(line: str, lineno: int, i: int) -> DslError:
-    """The error for token i of a line, where a declared name belongs."""
-    text, column = _tokenize(line, lineno)[i]
-    if text in KEYWORDS:
-        return ParseError(f"keyword {text!r} cannot be used as a name", lineno, column, ("NAME",))
-    if text in ("->", "<-"):
-        return ParseError(f"expected a name, got {text!r}", lineno, column, ("NAME",))
-    return UndeclaredName(f"name {text!r} was never declared", lineno, column)
+class _Reader:
+    """A rule file read line by line: index gives each declared name's
+    position; per rule, a premise mask, a conclusion index and a line
+    'rule|axiom premises -> conclusion' (a rule line as written).
+
+    Each line's str.split words are checked as a directive. A word with a
+    comment, a glued arrow or a stray character fails a check; only then
+    is the line tokenized, by one findall, and checked again, and only
+    that check raises. A line changes nothing until it passes.
+    """
+
+    def __init__(self, text: str):
+        self.index: dict[str, int] = {}
+        self.bit: dict[str, int] = {}  # name -> 1 << index
+        self.lines, self.masks, self.conclusions = [], [], []
+        self.seed: list[str] | None = None
+        self.goal, self.goal_line = None, 0
+        index, bit, lines, masks, conclusions = self.index, self.bit, self.lines, self.masks, self.conclusions
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            words = line.split()
+            # a rule line with declared names is taken inline (a call per
+            # rule cost 5-8% of a load at n=1k), changing nothing until its end
+            if len(words) > 2 and words[0] == "rule" and words[-2] == "->":
+                try:
+                    mask = 0
+                    for name in words[1:-2]:
+                        mask |= bit[name]
+                    conclusions.append(index[words[-1]])
+                    masks.append(mask)
+                    lines.append(line)
+                    continue
+                except KeyError:
+                    pass
+            if words and self._take(words, lineno):
+                tokens = _TOKEN.findall(line.partition("#")[0])
+                if tokens and (fault := self._take(tokens, lineno)):
+                    raise fault.error(tokens, line, lineno)
+
+    def _undeclared(self, words: list[str], start: int, stop: int) -> _Fault | None:
+        """The fault of the first of words[start:stop] no set line declared."""
+        return next((_Fault(i) for i in range(start, stop) if words[i] not in self.index), None)
+
+    def _take(self, words: list[str], lineno: int) -> _Fault | None:
+        """Take in the directive the words of line lineno make, or say why
+        they make none."""
+        head, last = words[0], len(words) - 1
+        if head == "rule":
+            if "->" not in words:
+                return _Fault(last, not last, "rule needs '->'", ("->",))
+            arrow = words.index("->")
+            if fault := self._undeclared(words, 1, arrow):
+                return fault
+            if last == arrow:
+                return _Fault(arrow, False, "rule needs a conclusion", ("NAME",))
+            if last > arrow + 1:
+                message = f"unexpected {words[arrow + 2]!r} after the conclusion"
+                return _Fault(arrow + 2, False, message, ("end of line",))
+            if fault := self._undeclared(words, last, last + 1):
+                return fault
+            self._rule(" ".join(words), words[1:arrow], words[last])
+        elif head == "axiom":
+            if not last:
+                return _Fault(0, True, "axiom needs an open", ("NAME",))
+            if fault := self._undeclared(words, 1, 2):
+                return fault
+            if last < 2 or words[2] != "<-":
+                return _Fault(2 if last > 1 else 1, last == 1, "axiom needs '<-'", ("<-",))
+            if fault := self._undeclared(words, 3, last + 1):
+                return fault
+            self._rule(" ".join([head, *words[3:], "->", words[1]]), words[3:], words[1])
+        elif head == "set":
+            if not last:
+                return _Fault(0, True, "set needs at least one name", ("NAME",))
+            new: dict[str, int] = {}  # the line's names, so a repeat is found in O(1)
+            for i, name in enumerate(words[1:], start=1):
+                if name in self.index or name in new:
+                    return _Fault(i, duplicate=True)
+                if name in KEYWORDS or not _NAME.fullmatch(name):
+                    return _Fault(i)
+                new[name] = len(self.index) + len(new)
+            self.index.update(new)
+            self.bit.update((name, 1 << i) for name, i in new.items())
+        elif head == "seed":
+            if fault := self._undeclared(words, 1, last + 1):
+                return fault
+            self.seed = self.seed or []
+            self.seed += words[1:]
+        elif head == "goal":
+            if self.goal is not None:
+                return _Fault(0, False, f"goal already declared on line {self.goal_line}")
+            if not last:
+                return _Fault(0, True, "goal needs a name", ("NAME",))
+            if last > 1:
+                return _Fault(2, False, f"unexpected {words[2]!r} after the goal", ("end of line",))
+            if fault := self._undeclared(words, 1, 2):
+                return fault
+            self.goal, self.goal_line = words[1], lineno
+        else:
+            return _Fault(0, False, f"unknown directive {head!r}", KEYWORDS)
+        return None
+
+    def _rule(self, line: str, premises: list[str], conclusion: str) -> None:
+        """Append a rule whose names _take has checked."""
+        mask = 0
+        for name in premises:
+            mask |= self.bit[name]
+        self.lines.append(line)
+        self.masks.append(mask)
+        self.conclusions.append(self.index[conclusion])
 
 
 def parse_rule_file(text: str) -> RuleFileAST:
-    """The AST of a rule file, or the first DslError/DuplicateName in it.
-
-    Each line becomes plain string tokens in one findall, a stray
-    character becoming the empty string. Only a line that is about to
-    raise is tokenized again with columns, by _tokenize, which also
-    raises for the first stray character of the line.
-    """
-    declared: dict[str, int] = {}  # name -> index, in declaration order
-    rules: list[AstRule] = []
-    seed: list[str] | None = None
-    goal: str | None = None
-    goal_line = 0
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _TOKEN.findall(line.partition("#")[0])
-        if not tokens:
-            continue
-        if "" in tokens:
-            _tokenize(line, lineno)  # raises at the first stray character
-        head = tokens[0]
-        body = tokens[1:]
-        if head == "rule":
-            if "->" not in body:
-                at = _column(line, lineno, len(body)) if body else _column(line, lineno, 0) + len(head)
-                raise ParseError("rule needs '->'", lineno, at, ("->",))
-            arrow = body.index("->")
-            premises = body[:arrow]
-            for name in premises:
-                if name not in declared:
-                    raise _not_a_name(line, lineno, 1 + premises.index(name))
-            if len(body) != arrow + 2:
-                if len(body) == arrow + 1:
-                    raise ParseError(
-                        "rule needs a conclusion", lineno, _column(line, lineno, arrow + 1), ("NAME",)
-                    )
-                raise ParseError(
-                    f"unexpected {body[arrow + 2]!r} after the conclusion", lineno,
-                    _column(line, lineno, arrow + 3), ("end of line",),
-                )
-            conclusion = body[-1]
-            if conclusion not in declared:
-                raise _not_a_name(line, lineno, arrow + 2)
-            rules.append(AstRule(tuple(premises), conclusion, False))
-        elif head == "set":
-            if not body:
-                at = _column(line, lineno, 0) + len(head)
-                raise ParseError("set needs at least one name", lineno, at, ("NAME",))
-            for i, name in enumerate(body, start=1):
-                if name in declared:
-                    at = _column(line, lineno, i)
-                    raise DuplicateName(f"element {name!r} declared twice", lineno, at)
-                if name in KEYWORDS or name in ("->", "<-"):
-                    raise _not_a_name(line, lineno, i)
-                declared[name] = len(declared)
-        elif head == "axiom":
-            if not body:
-                at = _column(line, lineno, 0) + len(head)
-                raise ParseError("axiom needs an open", lineno, at, ("NAME",))
-            if body[0] not in declared:
-                raise _not_a_name(line, lineno, 1)
-            if len(body) < 2 or body[1] != "<-":
-                at = _column(line, lineno, 2) if len(body) > 1 else _column(line, lineno, 1) + len(body[0])
-                raise ParseError("axiom needs '<-'", lineno, at, ("<-",))
-            covering = body[2:]
-            for name in covering:
-                if name not in declared:
-                    raise _not_a_name(line, lineno, 3 + covering.index(name))
-            rules.append(AstRule(tuple(covering), body[0], True))
-        elif head == "seed":
-            for name in body:
-                if name not in declared:
-                    raise _not_a_name(line, lineno, 1 + body.index(name))
-            if seed is None:
-                seed = []
-            seed += body
-        elif head == "goal":
-            if goal is not None:
-                raise ParseError(
-                    f"goal already declared on line {goal_line}", lineno, _column(line, lineno, 0)
-                )
-            if not body:
-                at = _column(line, lineno, 0) + len(head)
-                raise ParseError("goal needs a name", lineno, at, ("NAME",))
-            if len(body) > 1:
-                raise ParseError(
-                    f"unexpected {body[1]!r} after the goal", lineno, _column(line, lineno, 2),
-                    ("end of line",),
-                )
-            if body[0] not in declared:
-                raise _not_a_name(line, lineno, 1)
-            goal = body[0]
-            goal_line = lineno
-        else:
-            raise ParseError(
-                f"unknown directive {head!r}", lineno, _column(line, lineno, 0), KEYWORDS
-            )
-    return RuleFileAST(
-        tuple(declared),
-        tuple(rules),
-        tuple(seed) if seed is not None else None,
-        goal,
-    )
+    """The AST of a rule file, or the first DslError/DuplicateName in it."""
+    read = _Reader(text)
+    rules = tuple(AstRule(tuple(w[1:-2]), w[-1], w[0] == "axiom") for w in map(str.split, read.lines))
+    return RuleFileAST(tuple(read.index), rules, None if read.seed is None else tuple(read.seed), read.goal)
 
 
 def emit(ast: RuleFileAST) -> str:
@@ -243,75 +263,14 @@ def definition_from_ast(ast: RuleFileAST) -> tuple[InductiveDefinition, Subset, 
     return InductiveDefinition._from_columns(carrier, masks, conclusions), seed, ast.goal
 
 
-def _plain_columns(text: str) -> tuple[Carrier, list[int], list[int], Subset, str | None] | None:
-    """_columns of the file and its goal, read with one str.split per
-    line and one dict lookup per name, if every line has a plain shape;
-    None at the first line that has not.
-
-    Plain: a blank line; set with new names that are not keywords; rule
-    with declared names and '->' second to last; axiom with a declared
-    open and '<-' third; seed with declared names; the first goal, with
-    one declared name. A word that is not a declared name (a comment, a
-    glued arrow, a stray character) misses the lookup. str.split and
-    the tokenizer's \\S agree on blanks, so parse_rule_file reads a
-    plain file into the same rules.
-    """
-    names: list[str] = []
-    index: dict[str, int] = {}
-    bit: dict[str, int] = {}
-    masks: list[int] = []
-    conclusions: list[int] = []
-    seed = 0
-    goal = None
-    try:
-        for line in text.splitlines():
-            words = line.split()
-            if not words:
-                continue
-            head = words[0]
-            if head == "rule" and len(words) > 2 and words[-2] == "->":
-                premises, conclusion = words[1:-2], words[-1]
-            elif head == "axiom" and len(words) > 2 and words[2] == "<-":
-                premises, conclusion = words[3:], words[1]
-            elif head == "set" and len(words) > 1:
-                for name in words[1:]:
-                    if name in index or name in KEYWORDS or not _NAME.fullmatch(name):
-                        return None
-                    bit[name] = 1 << len(names)
-                    index[name] = len(names)
-                    names.append(name)
-                continue
-            elif head == "seed":
-                for name in words[1:]:
-                    seed |= bit[name]
-                continue
-            elif head == "goal" and len(words) == 2 and goal is None and words[1] in index:
-                goal = words[1]
-                continue
-            else:
-                return None
-            mask = 0
-            for name in premises:
-                mask |= bit[name]
-            masks.append(mask)
-            conclusions.append(index[conclusion])
-    except KeyError:  # an undeclared name, or a word that is no name
-        return None
-    carrier = Carrier(tuple(names))
-    return carrier, masks, conclusions, Subset(carrier, seed), goal
-
-
 def _read_problem(text: str) -> tuple[InductiveDefinition, Subset, str | None]:
     """definition_from_ast(parse_rule_file(text)), with the same result,
-    warnings and errors, and no AST when every line is plain. Any other
-    file goes whole to parse_rule_file, so every error is its error."""
-    read = _plain_columns(text)
-    if read is None:
-        ast = parse_rule_file(text)
-        read = *_columns(ast), ast.goal
-    carrier, masks, conclusions, seed, goal = read
+    warnings and errors, built from the reader's columns with no AST."""
+    read = _Reader(text)
+    carrier = Carrier(tuple(read.index))
     # called here, so a duplicate-rule warning names this function's caller
-    return InductiveDefinition._from_columns(carrier, masks, conclusions), seed, goal
+    phi = InductiveDefinition._from_columns(carrier, read.masks, read.conclusions)
+    return phi, Subset.from_names(carrier, read.seed or ()), read.goal
 
 
 def presentation_from_ast(ast: RuleFileAST) -> tuple[CoverPresentation, Subset, str | None]:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indkernel import dsl
 from indkernel.dsl import (
     AstRule,
     RuleFileAST,
-    _plain_columns,
     _read_problem,
     _tokenize,
     definition_from_ast,
@@ -21,9 +21,9 @@ from indkernel.dsl import (
     presentation_from_ast,
 )
 from indkernel.errors import DslError, DuplicateName, ParseError, UndeclaredName, UnknownElement
-from indkernel.finite import Subset
+from indkernel.finite import Carrier, Subset
 from indkernel.gen import random_ast
-from indkernel.inddef import closure
+from indkernel.inddef import InductiveDefinition, Rule, closure
 from oracles import RefParseFailure, TokenError, reference_parse, reference_tokenize
 
 
@@ -338,47 +338,132 @@ def bench_shaped_text(rng):
     return lines
 
 
-def read_both(text):
-    """The fused reader's and parse + build's outcome on text: the
-    (definition, seed, goal) with the warning texts in order, or the
-    error's class, message, line, column and expected tokens."""
-    outcomes = []
-    for read in (_read_problem, lambda t: definition_from_ast(parse_rule_file(t))):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            try:
-                got = read(text)
-            except (DslError, DuplicateName) as err:
-                got = (type(err).__name__, str(err), err.line, err.column, getattr(err, "expected", ()))
-        outcomes.append((got, [str(w.message) for w in record]))
-    return outcomes
+TOKEN = dsl._TOKEN
 
 
-def test_fused_reader_matches_parse_and_build():
+class CountingToken:
+    """A stand-in for dsl._TOKEN that counts the reader's findall calls."""
+
+    def __init__(self):
+        self.findall_calls = 0
+
+    def findall(self, line):
+        self.findall_calls += 1
+        return TOKEN.findall(line)
+
+    def finditer(self, line):
+        return TOKEN.finditer(line)
+
+
+@pytest.fixture
+def token(monkeypatch):
+    counting = CountingToken()
+    monkeypatch.setattr(dsl, "_TOKEN", counting)
+    return counting
+
+
+def reference_read(text):
+    """reference_parse's file built through the public constructor, as
+    (definition, seed, goal)."""
+    names, rules, seed, goal = reference_parse(text)
+    carrier = Carrier(names)
+    phi = InductiveDefinition(carrier, [Rule(Subset.from_names(carrier, p), c) for p, c, _ in rules])
+    return phi, Subset.from_names(carrier, seed or ()), goal
+
+
+def outcome(read, text):
+    """read(text) with the warning texts in order, or the error's class,
+    message, line, column and expected tokens."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            got = read(text)
+        except (DslError, DuplicateName) as err:
+            got = (type(err).__name__, str(err), err.line, err.column, getattr(err, "expected", ()))
+        except RefParseFailure as ref:
+            got = ref.args
+    return got, [str(w.message) for w in record]
+
+
+def test_reader_matches_the_reference_definition(token):
     """On bench-shaped files and on the seeded mutations of random rule
-    files (axiom lines, files with no seed line), the fused reader gives
-    parse + build's definition, seed, goal and duplicate-rule warnings,
-    or its error; both its plain path and its fallback are exercised."""
+    files (axiom lines, files with no seed line), _read_problem gives the
+    definition, seed, goal and duplicate-rule warnings of reference_parse
+    built through InductiveDefinition(carrier, rules), or its error; files
+    with and without a re-tokenized line are both exercised."""
     rng = Random(1111)
-    plain = fallback = warned = failed = 0
+    split_only = retokenized = warned = failed = 0
     for case in range(3000):
         lines = bench_shaped_text(rng) if case % 3 == 0 else random_rule_text(rng)
         for _ in range(rng.choice([0, 0, 1, 2])):
             lines = mutate(rng, lines)
         text = "\n".join(lines)
-        fused, reference = read_both(text)
-        assert fused == reference, text
-        if _plain_columns(text) is None:
-            fallback += 1
-        else:
-            plain += 1
-        warned += bool(fused[1])
-        failed += isinstance(fused[0][0], str)  # an error's class name, not a definition
-    assert plain > 1200 and fallback > 800 and warned > 300 and failed > 700, (plain, fallback, warned, failed)
+        calls = token.findall_calls
+        read = outcome(_read_problem, text)
+        retokenized += token.findall_calls > calls
+        split_only += token.findall_calls == calls
+        assert read == outcome(reference_read, text), text
+        warned += bool(read[1])
+        failed += isinstance(read[0][0], str)  # an error's class name, not a definition
+    assert split_only > 1200 and retokenized > 800 and warned > 300 and failed > 700, (
+        split_only, retokenized, warned, failed
+    )
+
+
+def test_only_odd_lines_are_tokenized_again(token, monkeypatch):
+    """A bench-shaped plain file is read with no regex findall. With k
+    odd lines added (a whole-line comment, a trailing comment, a glued
+    arrow) it reads to the same result with exactly k. _tokenize runs
+    only on the line about to raise."""
+    tokenized = []
+    monkeypatch.setattr(dsl, "_tokenize", lambda line, lineno: tokenized.append(lineno) or _tokenize(line, lineno))
+    rng = Random(2424)
+    for _ in range(30):
+        lines = bench_shaped_text(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            calls = token.findall_calls
+            plain = _read_problem("\n".join(lines))
+            assert token.findall_calls == calls
+            rules = [i for i, line in enumerate(lines) if line.startswith("rule")]
+            picked = sorted(rng.sample(rules, min(len(rules), rng.randint(1, 9))), reverse=True)
+            for k, i in enumerate(picked):
+                if k % 3 == 0:
+                    lines.insert(i, "# a note")
+                elif k % 3 == 1:
+                    lines[i] += "  # a note"
+                else:
+                    lines[i] = lines[i].replace(" -> ", "->")
+            calls = token.findall_calls
+            assert _read_problem("\n".join(lines)) == plain
+            assert token.findall_calls - calls == len(picked)
+    assert tokenized == []
+    for text, lineno in (("set a\nrule a -> b  # b undeclared", 2), ("set a # x\nseed a $", 2), ("goal", 1)):
+        with pytest.raises(DslError) as exc:
+            _read_problem(text)
+        assert tokenized == [lineno] == [exc.value.line]
+        tokenized.clear()
+
+
+def test_a_line_that_fails_its_split_check_leaves_no_trace():
+    """A line read again after a failed split check is read against the
+    state before it, and a 20,000-name set line with a comment loads."""
+    with pytest.raises(DuplicateName) as exc:
+        parse_rule_file("set a a  # x")
+    assert (exc.value.line, exc.value.column) == (1, 7)
+    assert parse_rule_file("set a b  # x").names == ("a", "b")
+    for plain in ("seed a", "rule a -> b", "axiom b <- a"):
+        for read in (parse_rule_file, _read_problem):
+            assert read(f"set a b\n{plain}  # b") == read(f"set a b\n{plain}")
+    with pytest.raises(ParseError, match="goal already declared on line 2"):
+        _read_problem("set a b\ngoal b  # c\ngoal a")
+    names = [f"n{i}" for i in range(20000)]
+    phi, _, _ = _read_problem("set " + " ".join(names) + "  # all of them\n")
+    assert phi.carrier.names == tuple(names)
 
 
 def test_str_split_and_the_tokenizer_agree_on_blanks():
-    """The fused reader splits a line with str.split, the tokenizer skips
-    what \\S does not match: the same code points, every one of them."""
+    """The reader splits a line with str.split, the tokenizer skips what
+    \\S does not match: the same code points, every one of them."""
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert {c for c in chars if c.isspace()} == set(chars) - set(re.findall(r"\S", chars))
